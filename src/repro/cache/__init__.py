@@ -42,7 +42,6 @@ from repro.cache.store import (
     configure,
     default_directory,
     get_store,
-    parse_peers,
     store_token,
 )
 from repro.cache import store as _store_mod
@@ -58,7 +57,6 @@ __all__ = [
     "get_store",
     "is_enabled",
     "override",
-    "parse_peers",
     "source_units",
     "stable_fingerprint",
     "store_token",
@@ -74,7 +72,6 @@ def is_enabled() -> bool:
 def override(
     directory: Any = _store_mod._UNSET,
     enabled: Optional[bool] = None,
-    peers: Any = _store_mod._UNSET,
 ) -> Iterator[None]:
     """Temporarily reconfigure the ambient store (restores on exit).
 
@@ -83,14 +80,12 @@ def override(
     """
     prev_dir = _store_mod._override_dir
     prev_enabled = _store_mod._override_enabled
-    prev_peers = _store_mod._override_peers
-    configure(directory=directory, enabled=enabled, peers=peers)
+    configure(directory=directory, enabled=enabled)
     try:
         yield
     finally:
         with _store_mod._config_lock:
             _store_mod._override_dir = prev_dir
             _store_mod._override_enabled = prev_enabled
-            _store_mod._override_peers = prev_peers
             _store_mod._store = None
             _store_mod._store_key = None

@@ -59,10 +59,6 @@ _HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
 DEFAULT_MEMORY_ENTRIES = 256
 DEFAULT_MEMORY_BYTES = 64 << 20
 
-#: Remote-tier default: a peer-fill must be decisively cheaper than a
-#: cold synthesis or it is not worth waiting for.
-DEFAULT_PEER_TIMEOUT_S = 2.0
-
 _tmp_counter = itertools.count()
 
 
@@ -71,13 +67,11 @@ def _frame(payload: bytes) -> bytes:
     return _MAGIC + digest + payload
 
 
-def _unframe(
-    raw: bytes, origin: str, event: str = "cache.corrupt"
-) -> Optional[bytes]:
+def _unframe(raw: bytes, origin: str) -> Optional[bytes]:
     """Verify framing + checksum; None (with a warning) on any damage."""
     if len(raw) < _HEADER_SIZE or not raw.startswith(_MAGIC):
         _warn(
-            event,
+            "cache.corrupt",
             f"cache: {origin} is truncated or not a cache file; ignoring",
             path=origin, reason="bad_frame",
         )
@@ -85,36 +79,12 @@ def _unframe(
     digest, payload = raw[len(_MAGIC):_HEADER_SIZE], raw[_HEADER_SIZE:]
     if hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest() != digest:
         _warn(
-            event,
+            "cache.corrupt",
             f"cache: {origin} failed its checksum; ignoring",
             path=origin, reason="checksum",
         )
         return None
     return payload
-
-
-def parse_peers(text: Optional[str]) -> Tuple[Tuple[str, int], ...]:
-    """``"host:port,host:port"`` → ((host, port), ...); junk is dropped.
-
-    The format of ``REPRO_CACHE_PEERS`` and the serve-tier ``--join``
-    flag.  Tolerant by design: a typo'd peer should degrade to "one
-    fewer peer", never break the local cache.
-    """
-    peers = []
-    for part in (text or "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, sep, port_text = part.rpartition(":")
-        if not sep:
-            continue
-        try:
-            port = int(port_text)
-        except ValueError:
-            continue
-        if host and 0 < port < 65536:
-            peers.append((host, port))
-    return tuple(peers)
 
 
 class ArtifactStore:
@@ -132,21 +102,11 @@ class ArtifactStore:
         enabled: bool = True,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         memory_bytes: int = DEFAULT_MEMORY_BYTES,
-        peers: Tuple[Tuple[str, int], ...] = (),
-        peer_timeout_s: float = DEFAULT_PEER_TIMEOUT_S,
     ) -> None:
         self.directory: Optional[Path] = Path(directory) if directory else None
         self.enabled = bool(enabled and self.directory is not None)
         self.memory_entries = memory_entries
         self.memory_bytes = memory_bytes
-        #: Remote tier: shard peers whose ``GET /cas/<kind>/<key>``
-        #: endpoint (docs/internals.md §13) is consulted after a local
-        #: miss.  Fetched blobs are checksum-verified here (the peer
-        #: serves raw file bytes without looking at them) and filled
-        #: into both local tiers; any failure is a logged miss and the
-        #: pipeline recomputes locally.
-        self.peers = tuple(peers)
-        self.peer_timeout_s = peer_timeout_s
         self._mem: "OrderedDict[str, bytes]" = OrderedDict()
         self._mem_bytes = 0
         self._lock = threading.Lock()
@@ -263,62 +223,6 @@ class ArtifactStore:
             except OSError:
                 pass
 
-    # -- remote tier (cache peer-fill) --------------------------------------
-
-    def _peer_read(self, kind: str, key: str) -> Optional[bytes]:
-        """Fetch one CAS blob from the first peer that has it.
-
-        The peer serves the raw framed file bytes without inspecting
-        them; **this side** verifies the checksum, so a truncated or
-        bit-flipped blob from a peer is rejected (``cache.peer.corrupt``)
-        exactly like local disk damage — a logged miss, then a local
-        recompute.  Network errors are ``cache.peer.errors``; a peer
-        that simply doesn't have the key is silent.  Returns the
-        decompressed pickle bytes or None.
-        """
-        if not self.peers:
-            return None
-        from repro.serve.peers import PeerError, fetch_cas_raw
-
-        for host, port in self.peers:
-            origin = f"peer {host}:{port} {kind}-{key}"
-            try:
-                raw = fetch_cas_raw(
-                    host, port, kind, key, timeout=self.peer_timeout_s
-                )
-            except PeerError as exc:
-                self._count("peer.errors")
-                _warn(
-                    "cache.peer.unreachable",
-                    f"cache: {origin} fetch failed ({exc}); trying next peer",
-                    peer=f"{host}:{port}", kind=kind, key=key, error=str(exc),
-                )
-                continue
-            if raw is None:
-                continue
-            payload = _unframe(raw, origin, event="cache.peer.corrupt")
-            if payload is None:
-                self._count("peer.corrupt")
-                continue
-            try:
-                data = zlib.decompress(payload)
-            except zlib.error:
-                self._count("peer.corrupt")
-                _warn(
-                    "cache.peer.corrupt",
-                    f"cache: {origin} failed to decompress; ignoring",
-                    peer=f"{host}:{port}", kind=kind, key=key, reason="zlib",
-                )
-                continue
-            self._count("peer.hits")
-            self._count("peer.bytes_read", len(raw))
-            # Fill both local tiers verbatim so the next lookup (and any
-            # sibling worker sharing this disk dir) is a local hit.
-            self._disk_write_framed(self._object_path(kind, key), raw)
-            return data
-        self._count("peer.misses")
-        return None
-
     # -- public API ---------------------------------------------------------
 
     def get_object(self, kind: str, key: str) -> Optional[Any]:
@@ -333,12 +237,9 @@ class ArtifactStore:
             data = self._disk_read(self._object_path(kind, key))
             if data is None:
                 self._count("disk.misses")
-                data = self._peer_read(kind, key)
-                if data is None:
-                    self._count(f"kind.{kind}.misses")
-                    return None
-            else:
-                self._count("disk.hits")
+                self._count(f"kind.{kind}.misses")
+                return None
+            self._count("disk.hits")
             self._mem_put(key, data)
         try:
             obj = pickle.loads(data)
@@ -370,16 +271,16 @@ class ArtifactStore:
         self._mem_put(key, data)
         self._disk_write(self._object_path(kind, key), data)
 
-    # -- raw framed access (what peers exchange) ----------------------------
+    # -- raw framed access (the artifact push) -------------------------------
 
     def get_raw(self, kind: str, key: str) -> Optional[bytes]:
-        """The framed on-disk bytes of one artifact (served to peers).
+        """The framed on-disk bytes of one artifact (what a push sends).
 
         Reads the file verbatim — no checksum pass, no decompress — so
-        serving a peer-fill costs one ``read()``.  End-to-end integrity
-        is the *fetching* side's checksum verification.  Falls back to
-        re-framing the memory tier when the disk copy is missing (e.g.
-        an unwritable-disk degrade).
+        a push costs one ``read()``; the receiving side's
+        :meth:`put_raw` runs the checksum.  Falls back to re-framing
+        the memory tier when the disk copy is missing (e.g. an
+        unwritable-disk degrade).
         """
         if not self.enabled:
             return None
@@ -394,60 +295,30 @@ class ArtifactStore:
         return _frame(zlib.compress(data, 1))
 
     def put_raw(self, kind: str, key: str, framed: bytes) -> bool:
-        """Store framed bytes pushed by a peer (checksum-verified first).
+        """Store framed bytes pushed to a server (``PUT /cas/...``).
 
-        The write-side mirror of :meth:`_peer_read`: used by replica
-        warm-up (``PUT /cas/...``).  Returns False (and counts
-        ``peer.corrupt``) without storing anything if the frame fails
-        verification — a peer can never inject damage into this store.
+        The frame is checksum-verified and decompressed first; on any
+        damage this logs ``cache.corrupt`` and returns False without
+        storing anything, so a push can never inject damage into the
+        store.
         """
         if not self.enabled:
             return False
-        payload = _unframe(
-            framed, f"peer push {kind}-{key}", event="cache.peer.corrupt"
-        )
+        payload = _unframe(framed, f"push {kind}-{key}")
         if payload is None:
-            self._count("peer.corrupt")
             return False
         try:
             data = zlib.decompress(payload)
         except zlib.error:
-            self._count("peer.corrupt")
+            _warn(
+                "cache.corrupt",
+                f"cache: push {kind}-{key} failed to decompress; ignoring",
+                path=f"push {kind}-{key}", reason="zlib",
+            )
             return False
         self._mem_put(key, data)
         self._disk_write_framed(self._object_path(kind, key), framed)
         return True
-
-    def list_objects(
-        self, kinds: Optional[Tuple[str, ...]] = None, limit: int = 1024
-    ) -> "list[Tuple[str, str]]":
-        """Up to ``limit`` ``(kind, key)`` pairs from the disk tier.
-
-        The shard-side model registry that replica warm-up pulls
-        (``GET /registry``): newest artifacts first, so a bounded warm-up
-        copies the entries most likely to be hot.
-        """
-        if not self.enabled or self.directory is None:
-            return []
-        objects = self.directory / "objects"
-        if not objects.is_dir():
-            return []
-        found: "list[Tuple[float, str, str]]" = []
-        for path in objects.rglob("*"):
-            if not path.is_file() or path.name.startswith(".tmp-"):
-                continue
-            kind, sep, key = path.name.rpartition("-")
-            if not sep:
-                continue
-            if kinds is not None and kind not in kinds:
-                continue
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            found.append((mtime, kind, key))
-        found.sort(reverse=True)
-        return [(kind, key) for _, kind, key in found[:limit]]
 
     def load_blob(self, name: str) -> Optional[Any]:
         """A named mutable blob (e.g. the solver cache), or None."""
@@ -546,9 +417,8 @@ class ArtifactStore:
 _UNSET = object()
 _override_dir: Any = _UNSET
 _override_enabled: Optional[bool] = None
-_override_peers: Any = _UNSET
 _store: Optional[ArtifactStore] = None
-_store_key: Optional[Tuple[Optional[str], bool, Tuple]] = None
+_store_key: Optional[Tuple[Optional[str], bool]] = None
 _config_lock = threading.Lock()
 
 _FALSY = {"0", "off", "false", "no"}
@@ -561,7 +431,7 @@ def default_directory() -> str:
     return os.path.join(base, "repro")
 
 
-def _resolved_config() -> Tuple[Optional[str], bool, Tuple[Tuple[str, int], ...]]:
+def _resolved_config() -> Tuple[Optional[str], bool]:
     if _override_enabled is not None:
         enabled = _override_enabled
     else:
@@ -570,11 +440,7 @@ def _resolved_config() -> Tuple[Optional[str], bool, Tuple[Tuple[str, int], ...]
         directory = str(_override_dir) if _override_dir else None
     else:
         directory = os.environ.get("REPRO_CACHE_DIR") or default_directory()
-    if _override_peers is not _UNSET:
-        peers = tuple(_override_peers or ())
-    else:
-        peers = parse_peers(os.environ.get("REPRO_CACHE_PEERS"))
-    return directory, enabled, peers
+    return directory, enabled
 
 
 def get_store() -> ArtifactStore:
@@ -582,14 +448,13 @@ def get_store() -> ArtifactStore:
 
     Configuration is re-resolved on every call (env vars plus any
     :func:`configure` overrides), so tests and CLI flags that flip
-    ``REPRO_CACHE``/``REPRO_CACHE_DIR``/``REPRO_CACHE_PEERS`` take
-    effect immediately.
+    ``REPRO_CACHE``/``REPRO_CACHE_DIR`` take effect immediately.
     """
     global _store, _store_key
     key = _resolved_config()
     with _config_lock:
         if _store is None or key != _store_key:
-            _store = ArtifactStore(key[0], enabled=key[1], peers=key[2])
+            _store = ArtifactStore(key[0], enabled=key[1])
             _store_key = key
         return _store
 
@@ -601,35 +466,26 @@ def store_token() -> Optional[str]:
     solver's constraint cache) compare tokens to notice
     reconfiguration; None means "no persistence right now".
     """
-    directory, enabled, _peers = _resolved_config()
+    directory, enabled = _resolved_config()
     return directory if enabled else None
 
 
-def configure(
-    directory: Any = _UNSET,
-    enabled: Optional[bool] = None,
-    peers: Any = _UNSET,
-) -> None:
+def configure(directory: Any = _UNSET, enabled: Optional[bool] = None) -> None:
     """Override (or reset) the ambient store configuration.
 
     ``configure()`` with no arguments drops all overrides, returning
     control to the environment.  ``directory=None`` disables the disk
-    tier outright; ``enabled=False`` disables the store; ``peers`` is a
-    sequence of ``(host, port)`` shard peers for the remote tier
-    (``peers=()`` explicitly disables peer-fill).
+    tier outright; ``enabled=False`` disables the store.
     """
-    global _override_dir, _override_enabled, _override_peers, _store, _store_key
+    global _override_dir, _override_enabled, _store, _store_key
     with _config_lock:
-        if directory is _UNSET and enabled is None and peers is _UNSET:
+        if directory is _UNSET and enabled is None:
             _override_dir = _UNSET
             _override_enabled = None
-            _override_peers = _UNSET
         else:
             if directory is not _UNSET:
                 _override_dir = directory
             if enabled is not None:
                 _override_enabled = enabled
-            if peers is not _UNSET:
-                _override_peers = tuple(peers or ())
         _store = None
         _store_key = None

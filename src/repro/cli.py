@@ -594,12 +594,31 @@ def _watch_line(event: dict) -> str:
     return "  ".join(parts)
 
 
+def parse_servers(text: str) -> Tuple[Tuple[str, int], ...]:
+    """``"host:port[,host:port...]"`` → ((host, port), ...), strictly.
+
+    Any malformed entry is an error naming it: a typo must not leave
+    ``repro watch --serve`` running with no push target.
+    """
+    servers = []
+    for part in text.split(","):
+        entry = part.strip()
+        host, sep, port_text = entry.rpartition(":")
+        port = int(port_text) if port_text.isdigit() else 0
+        if not (sep and host and 0 < port < 65536):
+            raise SystemExit(
+                f"error: --serve entry {entry!r} is not host:port "
+                f"(want host:port[,host:port...], got {text!r})"
+            )
+        servers.append((host, port))
+    return tuple(servers)
+
+
 def cmd_watch(args: argparse.Namespace) -> int:
     import json
     import signal
     import threading
 
-    from repro.cache.store import parse_peers
     from repro.watch import WatchDaemon, WatchOptions, parse_target
 
     targets = []
@@ -608,7 +627,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         if not os.path.exists(target.path):
             raise SystemExit(f"error: {target.path}: no such file")
         targets.append(target)
-    serve = parse_peers(args.serve) if args.serve else ()
+    serve = parse_servers(args.serve) if args.serve is not None else ()
 
     def emit(event: dict) -> None:
         if args.json:
@@ -620,7 +639,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         targets,
         WatchOptions(
             interval_s=args.interval,
-            serve=tuple(serve),
+            serve=serve,
             push_artifacts=not args.no_push,
         ),
         emit=emit,
@@ -643,11 +662,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.cache.store import parse_peers
     from repro.serve.server import ServeConfig, run_server
 
-    if args.cluster > 0:
-        return _cmd_serve_cluster(args)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -656,73 +672,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_timeout_s=args.timeout,
         drain_timeout_s=args.drain_timeout,
         compile_sims=not args.no_compile,
-        peers=parse_peers(args.join) if args.join else (),
         cache_dir=args.cache_dir,
-        warmup=not args.no_warmup,
     )
     return run_server(config)
-
-
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    """``repro serve --cluster N``: N shards + router in one process."""
-    import signal
-    import threading
-
-    from repro.serve.cluster import ClusterHandle
-    from repro.serve.server import ServeConfig
-
-    base = ServeConfig(
-        default_timeout_s=args.timeout,
-        drain_timeout_s=args.drain_timeout,
-        compile_sims=not args.no_compile,
-    )
-    workers = args.workers
-    if workers <= 0:
-        # Split the CPUs across shards rather than oversubscribing
-        # N shards × N cores worth of worker processes.
-        workers = max(1, (os.cpu_count() or 1) // args.cluster)
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    with ClusterHandle(
-        shards=args.cluster,
-        workers_per_shard=workers,
-        host=args.host,
-        cache_root=args.cache_dir,
-        warmup=not args.no_warmup,
-        queue_size=args.queue_size,
-        router_port=args.port,
-        base_config=base,
-    ) as cluster:
-        shards = " ".join(
-            f"{args.host}:{p}" for p in cluster.shard_ports
-        )
-        print(
-            f"cluster up: router {args.host}:{cluster.router_port} -> "
-            f"{args.cluster} shards ({shards}), {workers} workers each",
-            flush=True,
-        )
-        stop.wait()
-    return 0
-
-
-def cmd_route(args: argparse.Namespace) -> int:
-    from repro.cache.store import parse_peers
-    from repro.serve.router import RouterConfig, run_router
-
-    shards = parse_peers(args.shards)
-    if not shards:
-        raise SystemExit(
-            f"error: --shards needs host:port[,host:port...], got {args.shards!r}"
-        )
-    return run_router(
-        RouterConfig(
-            host=args.host,
-            port=args.port,
-            shards=shards,
-            health_interval_s=args.health_interval,
-        )
-    )
 
 
 def _query_spec(target: str) -> Optional[NFSpec]:
@@ -1116,42 +1068,11 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the model compiler",
     )
     p.add_argument(
-        "--cluster", type=int, default=0, metavar="N",
-        help="run N shard servers behind a consistent-hash router "
-        "(--port is the router; shards get ephemeral ports)",
-    )
-    p.add_argument(
-        "--join", metavar="HOST:PORT[,HOST:PORT...]",
-        help="cache peers: artifact-cache misses peer-fill from these "
-        "shards, and the model registry of the first reachable one "
-        "pre-warms this shard on start",
-    )
-    p.add_argument(
         "--cache-dir", metavar="DIR",
-        help="private artifact-cache directory for this shard "
-        "(--cluster: the root; each shard gets DIR/shard-<i>)",
-    )
-    p.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip replica warm-up from --join peers",
+        help="private artifact-cache directory for this server's workers "
+        "and pushed artifacts (default: the ambient cache)",
     )
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "route",
-        help="run the cluster router in front of running shard servers",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8100, help="0 = ephemeral")
-    p.add_argument(
-        "--shards", required=True, metavar="HOST:PORT[,HOST:PORT...]",
-        help="the shard servers to route across",
-    )
-    p.add_argument(
-        "--health-interval", type=float, default=1.0,
-        help="seconds between shard health probes (0 disables)",
-    )
-    p.set_defaults(func=cmd_route)
 
     p = sub.add_parser(
         "query", help="query a running repro serve instance"
@@ -1227,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        help="watch NF sources, re-synthesize incrementally, hot-swap serve shards",
+        help="watch NF sources, re-synthesize incrementally, hot-swap servers",
     )
     p.add_argument(
         "targets", nargs="+", metavar="PATH[:ENTRY]",
@@ -1236,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--serve", metavar="HOST:PORT[,...]", default=None,
-        help="serve shards to peer-fill and hot-swap on every rebuild",
+        help="servers to push artifacts into and hot-swap on every rebuild",
     )
     p.add_argument(
         "--interval", type=float, default=0.5, help="poll interval in seconds"
@@ -1250,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-push", action="store_true",
-        help="hot-swap shards without peer-filling artifacts first",
+        help="hot-swap servers without pushing artifacts first",
     )
     p.set_defaults(func=cmd_watch)
     return parser

@@ -28,17 +28,12 @@ class HopRecord:
     """What one NF did to the packets that reached it.
 
     A hop downstream of a flooding NF receives several packets;
-    ``packets_in`` records them all.  ``packet_in`` stays as an alias
-    for the first (the common single-packet case).
+    ``packets_in`` records them all.
     """
 
     nf: str
     packets_in: List[Packet]
     packets_out: List[Packet]
-
-    @property
-    def packet_in(self) -> Optional[Packet]:
-        return self.packets_in[0] if self.packets_in else None
 
     @property
     def dropped(self) -> bool:

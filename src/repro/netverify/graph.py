@@ -15,9 +15,8 @@ Identity is content-addressed at two grains:
   summaries key on it, so editing one NF dirties exactly the edges
   into its node and whatever lies downstream;
 * per graph, :meth:`ServiceGraph.fingerprint` covers nodes, model
-  bindings and wiring — the serve tier's routing key, so repeated
-  verifications of one graph land on the shard whose edge cache is
-  already hot.
+  bindings and wiring, so two graphs with one fingerprint get one
+  verdict.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ class ServiceGraph:
         return len(self.edges)
 
     def fingerprint(self) -> str:
-        """Content identity of topology + model bindings (routing key)."""
+        """Content identity of topology + model bindings."""
         return stable_fingerprint(
             (
                 "service-graph",

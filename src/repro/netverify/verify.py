@@ -17,9 +17,9 @@ kind keyed on exactly that material.  Consequences:
   fingerprints), so precisely the edges downstream of the dirty node
   miss and recompute, while untouched branches keep hitting.  There is
   no explicit invalidation: stale summaries are simply unreachable;
-* **cluster shards share warmth** — the ``edge`` tier rides the same
-  CAS framing as every other artifact kind, so shards peer-fill each
-  other's summaries (docs/internals.md §13).
+* **the server's workers share warmth** — the ``edge`` tier is one
+  more artifact kind in the store, so every worker of one ``repro
+  serve`` process reads the summaries any of them wrote.
 
 Determinism (byte-identity across cache on/off/warm and sequential vs
 parallel exploration) holds because summaries record *what the solver

@@ -722,7 +722,7 @@ def target_artifact_keys(
     """Every cache-tier key one synthesis target derives, by kind.
 
     The watch daemon uses this to know exactly which artifacts to push
-    to serve shards before asking them to flip versions; the sim key
+    to a server before asking it to flip versions; the sim key
     matches :func:`repro.serve.jobs._sim_bundle`'s derivation.
     """
     config = config or NFactorConfig()

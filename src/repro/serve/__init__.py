@@ -25,54 +25,37 @@ Production shape (docs/internals.md §10):
   and kept in an always-on flight recorder (``GET /debugz/requests``,
   ``repro trace``), with structured JSON logs tagged by request id.
 
-Cluster mode (docs/internals.md §13): ``repro serve --cluster N``
-shards the service behind a **consistent-hash router** — each request
-routes by its artifact-key material so a given model's traffic always
-lands on the shard whose caches are hot for it; shards **peer-fill**
-artifact-cache misses from each other over ``GET /cas/...`` (checksum
-verified on read — corruption is a logged miss and a local recompute,
-never a wrong answer); a joining shard **warms up** from a peer's
-``/registry``; a dead shard's key range spills to the next ring node
-(``serve.cluster.failover``), degraded but never hung.
+Artifact push (docs/internals.md §13): ``PUT /cas/<kind>/<key>``
+stores one framed cache artifact, checksum-verified on receipt, so
+``repro watch`` can fill the workers' cache before it flips a target
+with ``POST /v1/reload``.
 
 Modules: :mod:`~repro.serve.protocol` (HTTP/JSON framing),
 :mod:`~repro.serve.queue` (admission control),
 :mod:`~repro.serve.jobs` (worker-side request handlers),
-:mod:`~repro.serve.server` (the asyncio shard server),
-:mod:`~repro.serve.ring` (consistent hashing),
-:mod:`~repro.serve.router` (the cluster routing proxy),
-:mod:`~repro.serve.peers` (cache peer-fill + replica warm-up),
-:mod:`~repro.serve.cluster` (the N-shards-plus-router harness),
+:mod:`~repro.serve.registry` (hot-swappable model targets),
+:mod:`~repro.serve.server` (the asyncio server),
 :mod:`~repro.serve.client` (blocking client library used by
-``repro query`` and the benchmarks).
+``repro query``, ``repro watch`` and the benchmarks).
 """
 
 from __future__ import annotations
 
 from repro.serve.client import ServeClient, ServeError, ServeResponse
-from repro.serve.cluster import ClusterHandle
 from repro.serve.protocol import ProtocolError
 from repro.serve.queue import BoundedRequestQueue, QueueClosed, QueueFull
-from repro.serve.ring import HashRing
-from repro.serve.router import Router, RouterConfig, RouterHandle, run_router
 from repro.serve.server import Server, ServeConfig, ServerHandle, run_server
 
 __all__ = [
     "BoundedRequestQueue",
-    "ClusterHandle",
-    "HashRing",
     "ProtocolError",
     "QueueClosed",
     "QueueFull",
-    "Router",
-    "RouterConfig",
-    "RouterHandle",
     "ServeClient",
     "ServeConfig",
     "ServeError",
     "ServeResponse",
     "Server",
     "ServerHandle",
-    "run_router",
     "run_server",
 ]

@@ -1,13 +1,14 @@
 """Blocking client library for :mod:`repro.serve`.
 
-Used by the ``repro query`` CLI subcommand, the lifecycle tests and
-``benchmarks/bench_serve.py``.  Connections are **kept alive and
-reused** across sequential requests — per *thread*, so N loadgen
-threads can still share one :class:`ServeClient` (each gets its own
-socket).  A request that trips over a stale socket (server idled it
-out, draining server closed it) transparently reconnects and retries
-once; every op is a deterministic cached computation, so the retry can
-never double-run side effects.
+Used by the ``repro query`` CLI subcommand, the ``repro watch`` push,
+the lifecycle tests and ``benchmarks/bench_serve.py``.  Connections
+are **kept alive and reused** across sequential requests — per
+*thread*, so N loadgen threads can still share one
+:class:`ServeClient` (each gets its own socket).  A request that
+trips over a stale socket (server idled it out, draining server closed
+it) transparently reconnects and retries once; every op is a
+deterministic cached computation, so the retry can never double-run
+side effects.
 
 >>> client = ServeClient("127.0.0.1", 8000)          # doctest: +SKIP
 >>> client.synthesize("nat").result["name"]          # doctest: +SKIP
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import context as obs_context
-from repro.serve.protocol import parse_client_response
+from repro.serve.protocol import parse_client_response, valid_cas_path
 
 
 class ServeError(Exception):
@@ -43,9 +44,6 @@ class ServeResponse:
     #: The distributed trace id this request ran under (the one the
     #: client sent, echoed back in the envelope when tracing is on).
     trace_id: Optional[str] = None
-    #: Which shard served this request (``X-Repro-Shard``, stamped by
-    #: the cluster router; None when talking to a shard directly).
-    shard: Optional[str] = None
 
     @property
     def result(self) -> Any:
@@ -140,25 +138,7 @@ class ServeClient:
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        # Attempt 0 rides the kept-alive socket; if that socket went
-        # stale (idled out, server drained), reconnect and retry once on
-        # a fresh one.  Deterministic idempotent ops make this safe.
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-                status = response.status
-                request_id = response.getheader("X-Repro-Request-Id")
-                shard = response.getheader("X-Repro-Shard")
-                if response.will_close:
-                    self._drop_connection()
-                break
-            except (OSError, http.client.HTTPException) as exc:
-                self._drop_connection()
-                if attempt == 1:
-                    raise ServeError(f"{method} {path} failed: {exc}") from exc
+        status, raw, request_id = self._exchange(method, path, payload, headers)
         ok, decoded = parse_client_response(status, raw)
         return ServeResponse(
             status=status,
@@ -167,8 +147,32 @@ class ServeClient:
             request_id=decoded.get("request_id") or request_id,
             trace_id=decoded.get("trace_id")
             or (ctx.trace_id if ctx is not None else None),
-            shard=shard,
         )
+
+    def _exchange(
+        self, method: str, path: str, payload: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[int, bytes, Optional[str]]:
+        """One round trip: (status, body, ``X-Repro-Request-Id``)."""
+        # Attempt 0 rides the kept-alive socket; if that socket went
+        # stale (idled out, server drained), reconnect and retry once on
+        # a fresh one.  Deterministic idempotent ops make this safe.
+        for _attempt in (0, 1):
+            conn = self._connection()
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+                if response.will_close:
+                    self._drop_connection()
+                return (
+                    response.status, raw,
+                    response.getheader("X-Repro-Request-Id"),
+                )
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop_connection()
+                error = exc
+        raise ServeError(f"{method} {path} failed: {error}") from error
 
     # -- endpoints -----------------------------------------------------------
 
@@ -337,11 +341,29 @@ class ServeClient:
             body["note"] = note
         return self.request("POST", "/v1/reload", body)
 
-    def models(self) -> Dict[str, Any]:
-        """The shard's loaded model-registry versions (from ``/healthz``).
+    def push_artifact(self, kind: str, key: str, framed: bytes) -> bool:
+        """Push one framed artifact (``PUT /cas/<kind>/<key>``).
 
-        ``{name: {"version": ..., "model_key": ..., ...}}`` — comparing
-        this across shards confirms a hot-swap landed everywhere.
+        ``framed`` is the store's on-disk bytes
+        (:meth:`~repro.cache.store.ArtifactStore.get_raw`); the server
+        checksum-verifies them before storing.  True when stored; False
+        for an invalid kind/key or a rejected frame.  Re-sending is
+        harmless (the key is the content address), so the stale-socket
+        retry applies here too.
+        """
+        if not valid_cas_path(kind, key):
+            return False
+        status, _raw, _request_id = self._exchange(
+            "PUT", f"/cas/{kind}/{key}", framed,
+            {"Content-Type": "application/octet-stream"},
+        )
+        return status == 200
+
+    def models(self) -> Dict[str, Any]:
+        """The server's loaded model-registry versions (from ``/healthz``).
+
+        ``{name: {"version": ..., "model_key": ..., ...}}`` — what
+        confirms a hot-swap landed.
         """
         response = self.healthz().raise_for_status()
         return (response.result or {}).get("models", {})

@@ -209,7 +209,7 @@ class _LruMemo:
     """A small LRU memo for per-worker compiled models.
 
     Replaces the earlier FIFO eviction: under FIFO, a hot model that a
-    shard serves on every request was evicted by arrival order the
+    server serves on every request was evicted by arrival order the
     moment eight one-off models passed through, forcing a recompile of
     the *busiest* model.  Here :meth:`get` refreshes recency, so steady
     traffic pins its model and eviction lands on the coldest entry.
@@ -408,7 +408,7 @@ def _op_verify_graph(body: Dict[str, Any]) -> Dict[str, Any]:
     graph = _graph_from_body(body)
     # jobs pinned to 1: this already runs inside a pool worker, and
     # daemonic pool processes cannot fork grandchildren.  The serve
-    # tier's parallelism is across requests/shards, not within one.
+    # tier's parallelism is across requests, not within one.
     config = GraphVerifyConfig(use_cache=bool(body.get("cache", True)), jobs=1)
     try:
         verdict = GraphVerifier(graph, config=config).verify()

@@ -9,7 +9,7 @@ request: a job admitted before a reload keeps the body (and version) it
 was admitted with and drains naturally on the old model, a job admitted
 after carries the new one, and no request can observe a half-applied
 swap.  Workers stay stateless: they synthesize whatever source the body
-names, served from the artifact cache the watch daemon peer-filled
+names, served from the artifact cache the watch daemon pushed into
 before asking for the flip.
 
 Registered names shadow the static corpus (``repro.nfs``) for resolved
@@ -38,8 +38,8 @@ class ModelVersion:
     source: str
     entry: Optional[str]
     #: Model-tier key the default config derives for this source — what
-    #: the watch daemon peer-fills, and what operators compare across
-    #: shards to confirm a swap landed everywhere.
+    #: the watch daemon pushes, and what operators compare to confirm a
+    #: swap landed.
     model_key: str
     #: Fingerprint of the frontend key material (function-level units).
     fingerprint: str

@@ -66,22 +66,16 @@ def _pool_ready() -> None:
     """No-op pool task (see Server.prepare_pool)."""
 
 
-def _worker_warmup(
-    peers: Tuple[Tuple[str, int], ...] = (),
-    cache_dir: Optional[str] = None,
-) -> None:
+def _worker_warmup(cache_dir: Optional[str] = None) -> None:
     """Pool initializer: pre-import the pipeline in each worker.
 
     The first job in a fresh worker otherwise pays ~100 ms of lazy
     imports — visible as a p95 outlier on an otherwise ~2 ms warm
     ``synthesize``.  Runs once per worker process at pool start.
 
-    ``peers``/``cache_dir`` carry the shard's cluster identity into the
-    worker process explicitly (not via the parent's environment, which
-    in-process multi-shard harnesses share): ``cache_dir`` pins this
-    shard's private artifact directory, ``peers`` arms the store's
-    remote tier so a local miss peer-fills before paying a cold
-    synthesis.
+    ``cache_dir`` pins the server's private artifact directory in the
+    worker explicitly, not via the parent's environment, which several
+    servers in one process (tests, benchmarks) share.
     """
     import repro.apps.testing  # noqa: F401
     import repro.apps.verify  # noqa: F401
@@ -89,15 +83,10 @@ def _worker_warmup(
     import repro.nfactor.algorithm  # noqa: F401
     import repro.parallel  # noqa: F401
 
-    if cache_dir is not None or peers:
+    if cache_dir is not None:
         from repro import cache as artifact_cache
 
-        if cache_dir is not None:
-            artifact_cache.configure(
-                directory=cache_dir, enabled=True, peers=peers
-            )
-        else:
-            artifact_cache.configure(peers=peers)
+        artifact_cache.configure(directory=cache_dir, enabled=True)
 
 
 @dataclass
@@ -138,18 +127,9 @@ class ServeConfig:
     recorder_keep_slow: int = 16
     #: Erroring requests pinned beyond the ring.
     recorder_keep_errors: int = 16
-    #: Cluster cache peers as ``(host, port)`` pairs (``--join``): armed
-    #: in every worker's artifact store (miss → peer-fill → recompute)
-    #: and used for replica warm-up at startup.
-    peers: Tuple[Tuple[str, int], ...] = ()
-    #: Private artifact-cache directory for this shard (cluster mode
-    #: gives every shard its own; None = the ambient store config).
+    #: Private artifact-cache directory for this server's workers and
+    #: ``PUT /cas`` (None = the ambient store config).
     cache_dir: Optional[str] = None
-    #: Pre-populate this shard from a peer's model registry on start.
-    warmup: bool = True
-    #: Identity reported in /healthz and cluster views (default
-    #: ``host:port`` once the listener is bound).
-    shard_name: Optional[str] = None
 
     def effective_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
@@ -204,7 +184,6 @@ class Server:
         self._job_ids = iter(range(1, 1 << 62))
         self._abandoned = 0
         self._cas_store: Optional[Any] = None
-        self._warmup_thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -215,10 +194,10 @@ class Server:
         worker inherits copies of every open FD, including listening
         sockets; as long as any process holds a listener FD the kernel
         keeps accepting connections into a backlog nobody drains, so a
-        crashed shard's port would black-hole new connects instead of
-        refusing them and the router could not fail over promptly.
-        ``ClusterHandle`` calls this for every shard before starting
-        any of them, since shards share one parent process there.
+        stopped server's port would black-hole new connects instead of
+        refusing them.  Several servers can share one parent process
+        (tests, ``benchmarks/bench_obs_overhead.py``); call this for
+        every one of them before starting any.
         """
         if self._pool is not None:
             return
@@ -226,7 +205,7 @@ class Server:
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_warmup,
-            initargs=(self.config.peers, self.config.cache_dir),
+            initargs=(self.config.cache_dir,),
         )
         spawn = getattr(self._pool, "_adjust_process_count", None)
         if spawn is not None:  # eager fork; idle workers park on the queue
@@ -255,15 +234,6 @@ class Server:
         if self.config.lag_probe_interval_s > 0:
             self._lag_task = self._loop.create_task(self._lag_probe())
         self.registry.gauge("serve.workers").set(workers)
-        if self.config.peers and self.config.warmup:
-            # Replica warm-up: copy a peer's recent artifacts into this
-            # shard's store on a daemon thread (serving starts now).
-            from repro.serve import peers as serve_peers
-
-            counter = self.registry.counter("serve.warmup.artifacts")
-            self._warmup_thread = serve_peers.start_warmup_thread(
-                self.cas_store(), self.config.peers, on_done=counter.inc
-            )
 
     def install_signal_handlers(self) -> bool:
         """SIGTERM/SIGINT → graceful drain.  Best effort (main thread only)."""
@@ -314,35 +284,23 @@ class Server:
         if self._stopped is not None:
             self._stopped.set()
 
-    # -- shard identity / CAS store ------------------------------------------
-
-    @property
-    def shard_name(self) -> str:
-        if self.config.shard_name:
-            return self.config.shard_name
-        return f"{self.config.host}:{self.port or self.config.port}"
+    # -- CAS store -----------------------------------------------------------
 
     def cas_store(self):
-        """The artifact store behind this shard's ``/cas`` endpoints.
+        """The artifact store ``PUT /cas`` writes into: the workers' store.
 
-        Always **peer-less**: a shard serves only what it holds locally,
-        so two shards missing the same key can never chase each other in
-        a fetch loop.  With ``cache_dir`` set (cluster mode) it is a
-        dedicated store over the shard's private directory; otherwise a
-        peer-stripped twin of the ambient store.
+        With ``cache_dir`` set it is a store over that directory (what
+        :func:`_worker_warmup` configures in every worker); otherwise
+        the ambient store, which workers inherit from the environment.
         """
-        if self._cas_store is None:
-            from repro.cache.store import ArtifactStore
+        if self.config.cache_dir is None:
             from repro import cache as artifact_cache
 
-            if self.config.cache_dir:
-                self._cas_store = ArtifactStore(self.config.cache_dir)
-            else:
-                base = artifact_cache.get_store()
-                self._cas_store = ArtifactStore(
-                    str(base.directory) if base.directory else None,
-                    enabled=base.enabled,
-                )
+            return artifact_cache.get_store()
+        if self._cas_store is None:
+            from repro.cache.store import ArtifactStore
+
+            self._cas_store = ArtifactStore(self.config.cache_dir)
         return self._cas_store
 
     # -- event-loop health ---------------------------------------------------
@@ -387,15 +345,7 @@ class Server:
                     break
                 status, envelope, headers = await self._route(request)
                 keep_alive = request.keep_alive and not self.draining
-                if isinstance(envelope, _RawBytes):
-                    payload = protocol.render_response(
-                        status,
-                        envelope.body,
-                        content_type=envelope.content_type,
-                        keep_alive=keep_alive,
-                        extra_headers=headers,
-                    )
-                elif isinstance(envelope, _RawText):
+                if isinstance(envelope, _RawText):
                     payload = protocol.render_response(
                         status,
                         envelope.text.encode("utf-8"),
@@ -449,10 +399,6 @@ class Server:
             return self._debugz(path, request.query)
         if path.startswith("/cas/"):
             return self._cas(request, path)
-        if path == "/registry":
-            if request.method != "GET":
-                return 405, protocol.error_envelope(405, "use GET"), None
-            return self._registry(request.query)
         if path == "/v1/reload":
             if request.method != "POST":
                 return 405, protocol.error_envelope(405, "use POST"), None
@@ -572,64 +518,29 @@ class Server:
             }
         ), None
 
-    # -- cluster CAS exchange ------------------------------------------------
+    # -- artifact push -------------------------------------------------------
 
     def _cas(
         self, request: protocol.HttpRequest, path: str
-    ) -> Tuple[int, Any, Optional[Dict[str, str]]]:
-        """``GET/PUT /cas/<kind>/<key>`` — raw framed artifact exchange.
+    ) -> Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]:
+        """``PUT /cas/<kind>/<key>`` — store one pushed framed artifact.
 
-        GET streams the on-disk framed bytes **unverified** (one read,
-        no decompress); the fetching peer runs the checksum, so damage
-        anywhere on the path is its logged miss, not our crash.  PUT is
-        the inverse: the body is verified *here* before it is stored.
+        The body is checksum-verified before it is stored (see
+        :meth:`ArtifactStore.put_raw`); a damaged frame is a 400.
         """
-        from repro.serve.peers import valid_cas_path
-
         parts = path.split("/")  # ['', 'cas', kind, key]
-        if len(parts) != 4 or not valid_cas_path(parts[2], parts[3]):
+        if len(parts) != 4 or not protocol.valid_cas_path(parts[2], parts[3]):
             return 404, protocol.error_envelope(
                 404, f"bad CAS path {path!r} (want /cas/<kind>/<hexkey>)"
             ), None
+        if request.method != "PUT":
+            return 405, protocol.error_envelope(405, "use PUT"), None
         kind, key = parts[2], parts[3]
-        if request.method == "GET":
-            raw = self.cas_store().get_raw(kind, key)
-            if raw is None:
-                self.registry.counter("serve.cas.misses").inc()
-                return 404, protocol.error_envelope(
-                    404, f"no {kind}/{key} on this shard"
-                ), None
-            self.registry.counter("serve.cas.reads").inc()
-            self.registry.counter("serve.cas.bytes_read").inc(len(raw))
-            return 200, _RawBytes(raw), None
-        if request.method == "PUT":
-            if self.cas_store().put_raw(kind, key, request.body):
-                self.registry.counter("serve.cas.writes").inc()
-                return 200, protocol.ok_envelope({"stored": True}), None
-            return 400, protocol.error_envelope(
-                400, f"rejected {kind}/{key}: bad frame or checksum"
-            ), None
-        return 405, protocol.error_envelope(405, "use GET or PUT"), None
-
-    def _registry(
-        self, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]:
-        """``GET /registry`` — the shard's recent artifacts, for warm-up."""
-        from repro.serve.peers import WARMUP_KINDS, WARMUP_LIMIT
-
-        kinds_text = query.get("kinds", "")
-        kinds = tuple(
-            k for k in (part.strip() for part in kinds_text.split(",")) if k
-        ) or WARMUP_KINDS
-        try:
-            limit = max(0, int(query.get("limit", str(WARMUP_LIMIT))))
-        except ValueError:
-            return 400, protocol.error_envelope(
-                400, f"bad limit: {query.get('limit')!r}"
-            ), None
-        artifacts = self.cas_store().list_objects(kinds=kinds, limit=limit)
-        return 200, protocol.ok_envelope(
-            {"shard": self.shard_name, "artifacts": artifacts}
+        if self.cas_store().put_raw(kind, key, request.body):
+            self.registry.counter("serve.cas.writes").inc()
+            return 200, protocol.ok_envelope({"stored": True}), None
+        return 400, protocol.error_envelope(
+            400, f"rejected {kind}/{key}: bad frame or checksum"
         ), None
 
     # -- job submission ------------------------------------------------------
@@ -947,18 +858,6 @@ class _RawText:
         self.content_type = content_type
 
 
-class _RawBytes:
-    """A binary response body (framed CAS blobs on ``GET /cas/...``)."""
-
-    __slots__ = ("body", "content_type")
-
-    def __init__(
-        self, body: bytes, content_type: str = "application/octet-stream"
-    ) -> None:
-        self.body = body
-        self.content_type = content_type
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -1029,7 +928,7 @@ class ServerHandle:
         """Fork the worker pool before any listener binds.
 
         Optional for a lone server (``start()`` forks before its own
-        bind anyway); required across shards sharing a process — see
+        bind anyway); required across servers sharing a process — see
         :meth:`Server.prepare_pool`.
         """
         if self.server is None:
@@ -1083,52 +982,6 @@ class ServerHandle:
         self._thread.join(timeout)
         if self._thread.is_alive():
             raise RuntimeError("server thread did not stop in time")
-
-    def kill(self, timeout: float = 10.0) -> None:
-        """Stop abruptly — no drain, in-flight work abandoned.
-
-        The failover tests' stand-in for a crashed shard: the listener
-        closes, every task is cancelled, the pool is torn down.  Clients
-        see connection resets, exactly like ``kill -9``.
-
-        Worker processes are killed outright, not just asked to exit:
-        forked workers inherit a copy of the listening socket, and as
-        long as any process holds that FD the kernel keeps accepting
-        connections into a backlog nobody drains — new connects would
-        hang instead of being refused, and the router could not fail
-        over promptly.
-        """
-        if self._thread is None or not self._thread.is_alive():
-            return
-        server, loop = self.server, self._loop
-
-        def slam() -> None:
-            assert server is not None
-            server.draining = True
-            if server._server is not None:
-                server._server.close()
-            for task in asyncio.all_tasks():
-                task.cancel()
-            if server._stopped is not None:
-                server._stopped.set()
-
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(slam)
-            except RuntimeError:
-                pass
-        if server is not None and server._pool is not None:
-            pool = server._pool
-            workers = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in workers:
-                try:
-                    proc.kill()
-                except (OSError, ValueError):
-                    pass
-            for proc in workers:
-                proc.join(timeout)
-        self._thread.join(timeout)
 
     def __enter__(self) -> "ServerHandle":
         return self.start()

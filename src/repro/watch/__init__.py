@@ -5,7 +5,7 @@ edits to registered NF source files, function-level fingerprints decide
 which synthesis targets the edit can actually reach, only those rebuild
 (everything else is a pure cache hit), the old and new models are
 diffed into a ``model.diff`` changelog, and the fresh artifacts are
-peer-filled into serve shards *before* each shard is asked to hot-swap
+pushed into each server (``PUT /cas``) *before* it is asked to hot-swap
 via ``POST /v1/reload`` — so the flip is a registry pointer move, never
 a cold synthesis in a worker's request path.
 """

@@ -7,8 +7,8 @@ key material is recomputed: targets whose reachable units are untouched
 are skipped outright (the edit cannot affect their artifacts — the key
 they would derive is unchanged), the rest re-synthesize through the
 artifact cache, get a ``model.diff`` changelog against their previous
-model, and are pushed to every configured serve shard — artifacts
-peer-filled first, ``/v1/reload`` flip second, so the shard's next
+model, and are pushed to every configured server — artifacts first
+(``PUT /cas``), ``/v1/reload`` flip second, so the server's next
 request for the target is a warm cache hit on the new version.
 
 Every rebuild/skip emits one structured event dict through the
@@ -26,7 +26,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.watch.watcher import SourceChange, SourceWatcher, WatchTarget
 
-#: Cache tiers reported per rebuild (and pushed to shards, minus the
+#: Cache tiers reported per rebuild (and pushed to servers, minus the
 #: in-process-only compiled memo which never leaves a worker).
 TIER_KINDS = ("frontend", "prep", "slices", "model", "sim")
 
@@ -38,9 +38,9 @@ class WatchOptions:
     """Daemon knobs (the ``repro watch`` flags)."""
 
     interval_s: float = 0.5
-    #: Serve shards to hot-swap, as (host, port) pairs.
+    #: Servers to hot-swap, as (host, port) pairs.
     serve: Tuple[Tuple[str, int], ...] = ()
-    #: Peer-fill rebuilt artifacts into shards before flipping.
+    #: Push rebuilt artifacts into servers before flipping.
     push_artifacts: bool = True
 
 
@@ -67,7 +67,7 @@ class WatchDaemon:
     # -- lifecycle -----------------------------------------------------------
 
     def baseline(self) -> List[Dict[str, Any]]:
-        """Initial build+push of every target (version 1 on the shards)."""
+        """Initial build+push of every target (version 1 on the servers)."""
         sources: Dict[str, str] = {}
         for target in self.targets:
             if target.path not in sources:
@@ -143,7 +143,7 @@ class WatchDaemon:
         keys = target_artifact_keys(source, target.name, target.entry)
         if ms.result is not None:
             # A fresh synthesis: also materialize the sim-tier bundle
-            # locally so shards receive it in the push and their first
+            # locally so servers receive it in the push and their first
             # simulate of the new version is a pure hit.
             store.put_object(
                 "sim",
@@ -177,7 +177,7 @@ class WatchDaemon:
             event["diff_summary"] = diff.summary()
         if self.options.serve:
             event["serve"] = [
-                self._push_to_shard(host, port, target, source, keys)
+                self._push_to_server(host, port, target, source, keys)
                 for host, port in self.options.serve
             ]
         self._state[target.label] = {
@@ -209,7 +209,7 @@ class WatchDaemon:
 
     # -- serve push ----------------------------------------------------------
 
-    def _push_to_shard(
+    def _push_to_server(
         self,
         host: str,
         port: int,
@@ -217,27 +217,27 @@ class WatchDaemon:
         source: str,
         keys: Dict[str, str],
     ) -> Dict[str, Any]:
-        """Peer-fill ``keys`` into one shard, then flip it via reload."""
+        """Push ``keys`` into one server, then flip it via reload."""
         from repro.serve.client import ServeClient, ServeError
-        from repro.serve.peers import push_cas_raw
 
         shard = f"{host}:{port}"
         store = artifact_cache.get_store()
+        client = ServeClient(host, port)
         pushed = 0
-        if self.options.push_artifacts:
-            for kind in TIER_KINDS:
-                framed = store.get_raw(kind, keys[kind])
-                if framed is not None and push_cas_raw(
-                    host, port, kind, keys[kind], framed
-                ):
-                    pushed += 1
         try:
-            response = ServeClient(host, port).reload(
-                target.name, source, target.entry
-            )
+            if self.options.push_artifacts:
+                for kind in TIER_KINDS:
+                    framed = store.get_raw(kind, keys[kind])
+                    if framed is not None and client.push_artifact(
+                        kind, keys[kind], framed
+                    ):
+                        pushed += 1
+            response = client.reload(target.name, source, target.entry)
         except ServeError as exc:
             obs_metrics.counter("watch.push_errors").inc()
             return {"shard": shard, "error": str(exc), "pushed": pushed}
+        finally:
+            client.close()
         result = response.result or {}
         out = {
             "shard": shard,

@@ -91,13 +91,12 @@ class TestServiceChain:
         assert len(dup_hop.packets_out) == 2
         assert len(fwd_hop.packets_in) == 2          # the whole fan-in
         assert all(p.sport == 42 for p in fwd_hop.packets_in)
-        assert fwd_hop.packet_in == fwd_hop.packets_in[0]  # alias intact
 
     def test_hop_record_alias_on_empty_input(self):
         from repro.net.chain import HopRecord
 
         hop = HopRecord(nf="x", packets_in=[], packets_out=[])
-        assert hop.packet_in is None
+        assert hop.packets_in == []
         assert hop.dropped
 
 

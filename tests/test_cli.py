@@ -154,3 +154,47 @@ class TestCommands:
         run_cli(capsys, "--profile", "synthesize", "monitor")
         assert obs.trace.active() is None
         assert not obs.metrics.active().enabled
+
+
+class TestServeSurface:
+    def test_one_way_to_launch_a_server(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--cache-dir" in out
+        for gone in ("--cluster", "--join", "--no-warmup"):
+            assert gone not in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["route", "--shards", "127.0.0.1:8001"])
+        assert excinfo.value.code == 2  # argparse: no such subcommand
+
+
+class TestWatchServeFlag:
+    NF = "def cb(pkt):\n    send_packet(pkt)\n\nsniff('eth0', cb)\n"
+
+    @pytest.mark.parametrize(
+        "bad, entry",
+        [
+            ("localhost8000", "localhost8000"),
+            ("127.0.0.1:8000,junk", "junk"),
+            ("127.0.0.1:8000,,127.0.0.1:8001", ""),
+            (":8000", ":8000"),
+            ("host:0", "host:0"),
+            ("host:65536", "host:65536"),
+            ("host:http", "host:http"),
+        ],
+    )
+    def test_malformed_server_is_an_error_naming_it(self, tmp_path, bad, entry):
+        path = tmp_path / "nf.py"
+        path.write_text(self.NF)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "watch", str(path), "--once", "--serve", bad])
+        assert f"entry {entry!r}" in str(excinfo.value.code)
+
+    def test_parse_servers(self):
+        from repro.cli import parse_servers
+
+        assert parse_servers("127.0.0.1:8000, example.org:9") == (
+            ("127.0.0.1", 8000), ("example.org", 9),
+        )

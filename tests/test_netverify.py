@@ -325,18 +325,6 @@ class TestServeOp:
                 {"nodes": [["A", "monitor"]], "edges": [["A", "Z"]]}
             )
 
-    def test_routing_key_is_graph_shaped(self):
-        from repro.serve.router import routing_key
-
-        body1 = {"nodes": [["A", "monitor"]], "edges": []}
-        body2 = {"nodes": [["A", "nat"]], "edges": []}
-        assert routing_key("verify_graph", body1) == routing_key(
-            "verify_graph", body1
-        )
-        assert routing_key("verify_graph", body1) != routing_key(
-            "verify_graph", body2
-        )
-
 
 class TestCli:
     def test_verify_subcommand(self, capsys):

@@ -1,12 +1,14 @@
 """Lifecycle and protocol tests for the ``repro serve`` subsystem.
 
-The production-shape behaviours under test (ISSUE acceptance):
+The production-shape behaviours under test:
 
 - queue-full bursts get explicit 429 rejections, never hangs;
 - a request deadline *really* cancels the job mid-run inside the
   worker (SIGALRM), freeing the worker for the next request;
 - SIGTERM-style drain finishes in-flight work before stopping;
 - N concurrent clients each get their own correct response.
+- a pushed artifact (``PUT /cas``) is stored only when its frame
+  passes the checksum.
 
 Integration tests run a real server on an ephemeral port via
 :class:`ServerHandle` with 1-2 workers.  The deterministic ``sleep``
@@ -17,6 +19,7 @@ by pool workers).
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import threading
 import time
@@ -24,6 +27,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.cache.keys import artifact_key
+from repro.cache.store import ArtifactStore
 from repro.serve import (
     BoundedRequestQueue,
     QueueClosed,
@@ -34,7 +39,13 @@ from repro.serve import (
     ServerHandle,
 )
 from repro.serve import protocol
-from repro.serve.queue import Job
+from repro.serve.jobs import _LruMemo
+from repro.serve.queue import (
+    RETRY_AFTER_MAX_S,
+    RETRY_AFTER_MIN_S,
+    Job,
+    retry_after_jitter,
+)
 
 
 # -- protocol unit tests ------------------------------------------------------
@@ -114,6 +125,56 @@ class TestBoundedQueue:
             assert await queue.join(1.0)
 
         asyncio.run(run())
+
+
+# -- Retry-After jitter -------------------------------------------------------
+
+
+class TestRetryAfterJitter:
+    def test_bounds(self):
+        for _ in range(500):
+            value = retry_after_jitter()
+            assert RETRY_AFTER_MIN_S <= value <= RETRY_AFTER_MAX_S
+
+    def test_spread(self):
+        # Jitter must actually jitter: hundreds of draws should not
+        # collapse onto a handful of values (the thundering-herd bug).
+        assert len({round(retry_after_jitter(), 3) for _ in range(200)}) > 50
+
+    def test_header_rounding_contract(self):
+        value = retry_after_jitter()
+        assert max(1, math.ceil(value)) in (1, 2)
+
+
+# -- compiled-model memo is LRU ----------------------------------------------
+
+
+class TestLruMemo:
+    def test_eviction_is_lru_not_fifo(self):
+        memo = _LruMemo(2)
+        memo.put("hot", 1)
+        memo.put("cold", 2)
+        assert memo.get("hot") == 1  # refresh: "hot" is now most recent
+        memo.put("new", 3)  # evicts "cold" (LRU), not "hot" (FIFO victim)
+        assert "hot" in memo and "new" in memo
+        assert "cold" not in memo
+
+    def test_steady_traffic_pins_a_hot_model(self):
+        memo = _LruMemo(4)
+        memo.put("hot", "compiled")
+        for i in range(20):  # a parade of one-off models
+            memo.get("hot")
+            memo.put(f"oneoff-{i}", i)
+        assert memo.get("hot") == "compiled"
+        assert len(memo) == 4
+
+    def test_put_refresh_and_capacity_floor(self):
+        memo = _LruMemo(0)  # clamps to 1
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert len(memo) == 1 and memo.get("b") == 2
+        memo.clear()
+        assert len(memo) == 0 and memo.get("b") is None
 
 
 # -- server unit tests (no sockets) ------------------------------------------
@@ -306,3 +367,216 @@ class TestServerLifecycle:
                 # Each client got exactly its own packet batch back.
                 assert len(result["outputs"]) == i + 1
                 assert result["stats"]["packets"] == i + 1
+
+
+# -- artifact push (PUT /cas) ------------------------------------------------
+
+
+def _framed_artifact(tmp_path, payload):
+    """A model artifact's framed bytes, as ``repro watch`` pushes them."""
+    seed = ArtifactStore(str(tmp_path / "seed"))
+    key = artifact_key("model", (repr(payload),))
+    seed.put_object("model", key, payload)
+    framed = seed.get_raw("model", key)
+    assert framed is not None
+    return key, framed
+
+
+class TestCasEndpoints:
+    def test_push_lands(self, monkeypatch, tmp_path):
+        key, framed = _framed_artifact(tmp_path, {"answer": 42})
+        cache_dir = str(tmp_path / "server")
+        with serve(monkeypatch, test_ops=False, cache_dir=cache_dir) as (
+            handle, client
+        ):
+            assert client.push_artifact("model", key, framed)
+            store = handle.server.cas_store()
+            assert store.get_raw("model", key) == framed
+            # What a worker reads: a fresh store over the same directory.
+            assert ArtifactStore(cache_dir).get_object("model", key) == {
+                "answer": 42
+            }
+            assert handle.registry.snapshot()["counters"][
+                "serve.cas.writes"
+            ] == 1
+
+    def test_bad_paths_rejected(self, monkeypatch, tmp_path):
+        key, framed = _framed_artifact(tmp_path, {"answer": 42})
+        cache_dir = str(tmp_path / "server")
+        with serve(monkeypatch, test_ops=False, cache_dir=cache_dir) as (
+            _handle, client
+        ):
+            for path in ("/cas/model/NOTHEX", "/cas/../etc/deadbeefdeadbeef",
+                         f"/cas/model/{key}/extra"):
+                assert client.request("PUT", path).status == 404, path
+            assert client.request("GET", f"/cas/model/{key}").status == 405
+            assert client.request("GET", "/registry").status == 404
+            # The client validates too, before anything goes on the wire.
+            assert not client.push_artifact("../etc", key, framed)
+            assert not client.push_artifact("model", "NOTHEX", framed)
+
+    def test_put_raw_rejects_damage(self, monkeypatch, tmp_path):
+        key, framed = _framed_artifact(tmp_path, {"answer": 42})
+        store = ArtifactStore(str(tmp_path / "s"))
+        assert store.put_raw("model", key, b"garbage") is False
+        assert store.get_object("model", key) is None
+
+        flipped = bytearray(framed)
+        flipped[-1] ^= 0xFF
+        cache_dir = str(tmp_path / "server")
+        with serve(monkeypatch, test_ops=False, cache_dir=cache_dir) as (
+            handle, client
+        ):
+            damaged = (b"", b"garbage", framed[: len(framed) // 2], bytes(flipped))
+            for body in damaged:
+                assert not client.push_artifact("model", key, body)
+            # Over the same kept-alive connection, so every PUT's status
+            # counter is in before this scrape is read.
+            counters = client.metrics()["counters"]
+            assert counters["serve.status.400"] == len(damaged)
+            assert "serve.cas.writes" not in counters
+            assert handle.server.cas_store().get_raw("model", key) is None
+            assert ArtifactStore(cache_dir).get_object("model", key) is None
+
+
+# -- client keep-alive -------------------------------------------------------
+
+
+class TestClientKeepAlive:
+    def test_sequential_requests_reuse_one_connection(self, monkeypatch):
+        with serve(monkeypatch, test_ops=False) as (handle, client):
+            for _ in range(5):
+                client.healthz().raise_for_status()
+            connections = handle.registry.snapshot()["counters"].get(
+                "serve.connections", 0
+            )
+            assert connections == 1, (
+                f"5 sequential requests opened {connections} connections"
+            )
+            client.close()
+
+    def test_stale_socket_reconnects_transparently(self, monkeypatch):
+        with serve(monkeypatch, test_ops=False) as (handle, client):
+            client.healthz().raise_for_status()
+            # Yank the kept-alive socket out from under the client (what
+            # an idle timeout or restarted server does).
+            conn = client._local.conn
+            conn.sock.close()
+            response = client.healthz()
+            assert response.status == 200
+            connections = handle.registry.snapshot()["counters"].get(
+                "serve.connections", 0
+            )
+            assert connections == 2
+            client.close()
+
+    def test_threads_do_not_share_sockets(self, monkeypatch):
+        with serve(monkeypatch, test_ops=False) as (_handle, client):
+            errors = []
+
+            def hammer():
+                try:
+                    for _ in range(10):
+                        client.healthz().raise_for_status()
+                    client.close()
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors
+
+
+# -- worker deadline plumbing -------------------------------------------------
+
+
+class TestWorkerDeadline:
+    def test_stale_absolute_deadline_fails_fast_in_worker(self):
+        # The server stamps an absolute monotonic deadline at dispatch;
+        # a job that starts after it has passed must 504 where="worker"
+        # immediately, not arm a stale full-length alarm.
+        from repro.serve.jobs import run_job
+
+        t0 = time.monotonic()
+        out = run_job(("synthesize", {"name": "nat"}, 5.0, None, t0 - 1.0))
+        assert out["status"] == 504
+        assert out["where"] == "worker"
+        assert time.monotonic() - t0 < 1.0
+
+    def test_alarm_ticks_again_after_a_swallowed_timeout(self):
+        # A tick that raises into an unraisable context (weakref
+        # callback, __del__) is silently dropped by CPython; the
+        # interval timer must try again.  Swallowing the first two
+        # JobTimeouts here simulates those lost deliveries — a one-shot
+        # alarm would never fire a third time.
+        from repro.serve.jobs import JobTimeout, _deadline_alarm
+
+        swallowed = 0
+        give_up = time.monotonic() + 10.0
+        with pytest.raises(JobTimeout):
+            with _deadline_alarm(0.05):
+                while time.monotonic() < give_up:
+                    try:
+                        while time.monotonic() < give_up:
+                            pass
+                    except JobTimeout:
+                        swallowed += 1
+                        if swallowed >= 3:
+                            raise
+        assert swallowed == 3
+
+
+# -- jittered Retry-After on the wire ----------------------------------------
+
+
+class TestBackpressureJitter:
+    def test_429_carries_jittered_retry_after(self, monkeypatch):
+        with serve(monkeypatch, queue_size=1) as (handle, client):
+            # One sleep occupies the worker, a second fills the 1-deep
+            # queue; every probe after that is an instant 429.  The
+            # second holder starts only once the first is inflight —
+            # two simultaneous submits can race the dispatcher for the
+            # single queue slot and reject one of them.
+            def hold() -> None:
+                ServeClient("127.0.0.1", handle.port, timeout=30).request(
+                    "POST", "/v1/sleep", {"seconds": 6.0}
+                )
+
+            holders = [threading.Thread(target=hold) for _ in range(2)]
+            holders[0].start()
+            assert _poll(
+                lambda: (client.healthz().result or {}).get("inflight") == 1,
+                timeout=10,
+            ), "first sleep never reached the worker"
+            holders[1].start()
+            try:
+                assert _poll(
+                    lambda: (client.healthz().result or {}).get(
+                        "queue_depth"
+                    )
+                    == 1,
+                    timeout=10,
+                ), "never saturated worker + queue"
+                hints = []
+                for _ in range(8):
+                    response = client.request(
+                        "POST", "/v1/sleep", {"seconds": 0.01}
+                    )
+                    if response.status != 429:
+                        continue  # a holder finished; enough samples exist
+                    assert response.retry_after_s is not None
+                    assert (
+                        RETRY_AFTER_MIN_S
+                        <= response.retry_after_s
+                        <= RETRY_AFTER_MAX_S
+                    )
+                    hints.append(response.retry_after_s)
+                assert len(hints) >= 4, "never saw enough 429s"
+                assert len(set(hints)) > 1, f"no jitter: {hints}"
+            finally:
+                for t in holders:
+                    t.join()
+            client.close()
