@@ -9,9 +9,8 @@ PR-4 layers attack.
   re-explored and every branch arm is a fresh solver check;
 - **optimized** — interning + witness shortcut + subsumption on
   (the default configuration);
-- **frontier**  — optimized, plus ``strategy="frontier"`` with
-  ``parallel_paths=4``: the initial branch frontier is partitioned
-  across worker processes.
+- **frontier**  — optimized, plus ``parallel_paths=4``: the initial
+  branch frontier is partitioned across worker processes.
 
 All three produce byte-identical serialized models — that is asserted
 before any number is reported.  The wall-clock comparison for the
@@ -54,7 +53,7 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf_engine.json"
 LARGEST = "snortlite"
 
 BASELINE = dict(intern_exprs=False, witness_shortcut=False, subsumption=False)
-FRONTIER = dict(strategy="frontier", parallel_paths=4)
+FRONTIER = dict(parallel_paths=4)
 
 
 def run_one(name: str, **engine_kwargs) -> Dict[str, object]:

@@ -117,18 +117,11 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     spec = load_spec(args.nf, args.entry)
-    config = None
-    if args.parallel_paths > 1:
-        # Perf-only knob: frontier exploration partitions path suffixes
-        # across worker processes and produces the same bytes as
-        # sequential DFS, so the artifact-cache key is unaffected.
-        config = NFactorConfig(
-            engine=EngineConfig(
-                strategy="frontier", parallel_paths=args.parallel_paths
-            )
-        )
     ms = synthesize_model_cached(
-        spec.source, name=spec.name, entry=args.entry or spec.entry, config=config
+        spec.source,
+        name=spec.name,
+        entry=args.entry or spec.entry,
+        config=NFactorConfig(engine=args.engine),
     )
     if args.json:
         print(ms.model_json)
@@ -586,11 +579,11 @@ def _watch_line(event: dict) -> str:
     ]
     if event.get("diff_summary"):
         parts.append(f"diff {event['diff_summary']}")
-    for shard in event.get("serve") or []:
-        if shard.get("error"):
-            parts.append(f"{shard['shard']} ERROR {shard['error']}")
+    for push in event.get("serve") or []:
+        if push.get("error"):
+            parts.append(f"{push['server']} ERROR {push['error']}")
         else:
-            parts.append(f"{shard['shard']} v{shard['version']}")
+            parts.append(f"{push['server']} v{push['version']}")
     return "  ".join(parts)
 
 
@@ -880,6 +873,19 @@ def _render_ambient_profile(result: Optional[SynthesisResult] = None) -> str:
     return obs.render_profile(profile)
 
 
+def _engine_config(text: str) -> EngineConfig:
+    """``--parallel-paths N`` as the engine config it selects.
+
+    Parallelism is perf-only: frontier exploration produces the same
+    model bytes as sequential DFS, so the artifact-cache key is
+    unaffected.  EngineConfig's own check rejects N < 1.
+    """
+    try:
+        return EngineConfig(parallel_paths=int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -922,11 +928,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true", help="print pipeline statistics")
     p.add_argument(
         "--parallel-paths",
-        type=int,
-        default=1,
+        dest="engine",
+        type=_engine_config,
+        # A string default goes through ``type`` too: every parse gets
+        # its own EngineConfig.
+        default="1",
         metavar="N",
         help="explore path suffixes across N worker processes "
-        "(frontier strategy; same model bytes as sequential DFS)",
+        "(frontier exploration; same model bytes as sequential DFS)",
     )
 
     nf_command("slice", cmd_slice, "print the source with the slice highlighted")

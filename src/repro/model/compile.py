@@ -14,12 +14,12 @@ per-packet work is a handful of compiled-function calls:
    their config conjuncts and have ``cfg.`` leaves inside the
    remaining flow/state conjuncts replaced by literal constants.
 
-2. **Decision-tree dispatch** — the single-field exact-match index of
-   the simulator generalizes to a nested tree: each inner node tests
-   one packet field and branches on its concrete value; entries that
-   pin that field to a different value can never match and are absent
-   from the branch.  Pins come from ``pkt.f == const`` conjuncts
-   (directly, inside positive ``and`` chains, or implied by a closed
+2. **Decision-tree dispatch** — instead of the simulator's linear
+   scan, a nested tree: each inner node tests one packet field and
+   branches on its concrete value; entries that pin that field to a
+   different value can never match and are absent from the branch.
+   Pins come from ``pkt.f == const`` conjuncts (directly, inside
+   positive ``and`` chains, or implied by a closed
    ``lo <= pkt.f <= lo`` interval).
 
 3. **Guard compilation** — each entry's residual conjunction is
@@ -57,7 +57,6 @@ from repro.model.simulator import (
     GuardEvalError,
     SimStats,
     _lookup,
-    _merge_by_position,
     eval_symbolic,
 )
 from repro.net.packet import PACKET_FIELDS, Packet
@@ -265,11 +264,12 @@ _FLIP = {"==": "==", "<=": ">=", ">=": "<=", "<": ">", ">": "<"}
 def _entry_pins(entry: TableEntry, init_state: Dict[str, Any]) -> Dict[str, int]:
     """Packet fields the flow match pins to one concrete value.
 
-    Generalizes :func:`~repro.model.simulator._concrete_eq_fields`:
-    besides top-level ``pkt.f == const`` conjuncts it descends into
+    Pins come from ``pkt.f == const`` conjuncts, where ``const`` is an
+    int literal or a cfg var resolved in the initial state (sound
+    because cfgVars are read-only on the packet path), also inside
     positive ``and`` chains (every arm must hold for the guard to
-    hold) and closes ``lo <= pkt.f`` ∧ ``pkt.f <= lo`` intervals into
-    equalities.  Sound for *skipping*: a pin that is false for a
+    hold), and from closed ``lo <= pkt.f`` ∧ ``pkt.f <= lo``
+    intervals.  Sound for *skipping*: a pin that is false for a
     packet means the guard evaluates false (or errors → no match).
     """
 
@@ -362,6 +362,24 @@ def _best_field(coverage: Dict[str, int]) -> Optional[str]:
     if max_cov < 2:
         return None  # a split over one entry saves nothing
     return min(name for name, n in coverage.items() if n == max_cov)
+
+
+def _merge_by_position(
+    bucket: List[_Item], residual: List[_Item]
+) -> List[_Item]:
+    """Merge two position-sorted item lists, preserving order."""
+    merged: List[_Item] = []
+    i = j = 0
+    while i < len(bucket) and j < len(residual):
+        if bucket[i][0] < residual[j][0]:
+            merged.append(bucket[i])
+            i += 1
+        else:
+            merged.append(residual[j])
+            j += 1
+    merged.extend(bucket[i:])
+    merged.extend(residual[j:])
+    return merged
 
 
 def _build_tree(items: List[_Item], used: frozenset) -> _Node:

@@ -230,19 +230,10 @@ def _full_config_fingerprint(config: NFactorConfig) -> Tuple:
     invalidates old entries) by default; only the cache toggles and the
     perf-only engine toggles are excluded — they change *when* work
     happens, never what is computed, so cached/uncached runs may share
-    keys.  The parallel "frontier" strategy is byte-identical to
-    sequential dfs (canonical path ordering), so it normalizes to "dfs"
-    in the key.
+    keys.
     """
-
-    def engine_value(name: str) -> Any:
-        value = getattr(config.engine, name)
-        if name == "strategy" and value == "frontier":
-            return "dfs"
-        return _canon_value(value)
-
     engine = tuple(
-        (f.name, engine_value(f.name))
+        (f.name, _canon_value(getattr(config.engine, f.name)))
         for f in fields(EngineConfig)
         if f.name not in _PERF_ONLY_ENGINE_FIELDS
     )

@@ -242,7 +242,7 @@ def observed_call(
 
 
 # ---------------------------------------------------------------------------
-# Intra-NF frontier workers (EngineConfig.strategy == "frontier")
+# Intra-NF frontier workers (EngineConfig.parallel_paths > 1)
 # ---------------------------------------------------------------------------
 
 

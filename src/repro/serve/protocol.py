@@ -110,6 +110,8 @@ class HttpRequest:
             payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(400, f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise ProtocolError(400, "request body is nested too deeply")
         if not isinstance(payload, dict):
             raise ProtocolError(400, "request body must be a JSON object")
         return payload
@@ -117,10 +119,14 @@ class HttpRequest:
 
 async def read_request(reader) -> Optional[HttpRequest]:
     """Parse one request off the stream; None on a clean EOF."""
+    # readline raises ValueError for a line longer than the stream's
+    # buffer limit (64 KiB by default), before MAX_LINE_BYTES can apply.
     try:
         line = await reader.readline()
-    except (ConnectionError, ValueError):
+    except ConnectionError:
         return None
+    except ValueError:
+        raise ProtocolError(400, "request line too long")
     if not line:
         return None
     if len(line) > MAX_LINE_BYTES:
@@ -132,7 +138,10 @@ async def read_request(reader) -> Optional[HttpRequest]:
 
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise ProtocolError(400, "header line too long")
         if raw in (b"\r\n", b"\n", b""):
             break
         if len(raw) > MAX_LINE_BYTES:

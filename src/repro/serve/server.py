@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import os
 import signal
 import threading
@@ -64,6 +65,31 @@ def _version() -> str:
 
 def _pool_ready() -> None:
     """No-op pool task (see Server.prepare_pool)."""
+
+
+#: How long a connection answered with a protocol error keeps reading
+#: (and discarding) the rest of the client's request.
+LINGER_S = 2.0
+
+
+async def _discard_unread(reader, writer) -> None:
+    """Half-close, then discard input until EOF or :data:`LINGER_S`.
+
+    A protocol error can leave part of the request unread (the rest of
+    an over-long line, an oversized body).  Closing a socket with
+    unread input makes the kernel reset the connection, and the reset
+    can destroy the error response before the client has read it.
+    """
+
+    async def drain() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        writer.write_eof()
+        await asyncio.wait_for(drain(), LINGER_S)
+    except (asyncio.TimeoutError, OSError):
+        pass
 
 
 def _worker_warmup(cache_dir: Optional[str] = None) -> None:
@@ -340,6 +366,7 @@ class Server:
                         )
                     )
                     await writer.drain()
+                    await _discard_unread(reader, writer)
                     break
                 if request is None:
                     break
@@ -549,8 +576,6 @@ class Server:
         self, envelope: Dict[str, Any], headers: Dict[str, str]
     ) -> Dict[str, Any]:
         """Stamp a jittered retry hint on a 429/503 rejection."""
-        import math
-
         retry_s = retry_after_jitter()
         headers["Retry-After"] = str(max(1, math.ceil(retry_s)))
         envelope["retry_after_s"] = round(retry_s, 3)
@@ -561,6 +586,10 @@ class Server:
         try:
             timeout = float(raw)
         except (TypeError, ValueError):
+            raise protocol.ProtocolError(400, f"bad timeout_s: {raw!r}")
+        # NaN passes the <= 0 test and survives min(), and a NaN
+        # deadline makes the response wait time out at once.
+        if not math.isfinite(timeout):
             raise protocol.ProtocolError(400, f"bad timeout_s: {raw!r}")
         if timeout <= 0:
             raise protocol.ProtocolError(400, "timeout_s must be positive")

@@ -18,8 +18,9 @@ flow" entries.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import CFG, ENTRY, EXIT
@@ -75,7 +76,6 @@ from repro.symbolic.expr import (
 )
 from repro.symbolic.solver import DEFAULT_MAX_SAMPLES, Solver, SolverContext
 from repro.symbolic.state import PathResult, SymState, state_signature, sym_copy
-from repro.symbolic.strategies import VALID_STRATEGIES, Strategy, make_strategy
 from repro.util.timer import Stopwatch
 
 _BOOL_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "and", "or", "not", "member"})
@@ -111,26 +111,18 @@ class EngineConfig:
     solver_samples: int = DEFAULT_MAX_SAMPLES
     solver_cache: bool = True
     keep_pruned: bool = False
-    #: Exploration order: one of
-    #: :data:`repro.symbolic.strategies.VALID_STRATEGIES`.
-    strategy: str = "dfs"
-    strategy_seed: int = 0
     #: Cold-path performance toggles (docs/internals.md §9).  All three
     #: are behaviour-preserving: synthesized models are byte-identical
     #: with them on or off, so none participates in cache fingerprints.
     intern_exprs: bool = True
     witness_shortcut: bool = True
     subsumption: bool = True
-    #: Worker processes for the "frontier" strategy; 1 = in-process
-    #: (degenerates to dfs).  Ignored by the other strategies.
+    #: Worker processes for frontier exploration (docs/internals.md
+    #: §9); 1 = sequential depth-first in-process.  Byte-identical
+    #: models either way.
     parallel_paths: int = 1
 
     def __post_init__(self) -> None:
-        if self.strategy not in VALID_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r} "
-                f"(valid: {', '.join(VALID_STRATEGIES)})"
-            )
         if self.parallel_paths < 1:
             raise ValueError("parallel_paths must be >= 1")
 
@@ -252,9 +244,9 @@ class SymbolicEngine:
         output-impacting state variables).
 
         Finished paths are numbered and ordered *canonically* (by their
-        branch-decision sequence, True before False), so every strategy
-        — and the parallel frontier merge — yields byte-identical
-        results on a complete exploration.
+        branch-decision sequence, True before False), so the parallel
+        frontier merge yields results byte-identical to sequential
+        depth-first exploration.
         """
         self.stats = ExploreStats()
         watched = watched or set()
@@ -268,25 +260,18 @@ class SymbolicEngine:
 
         table = InternTable() if self.config.intern_exprs else None
         span = obs_trace.span(
-            "se.explore", stmts=len(stmts), strategy=self.config.strategy
+            "se.explore", stmts=len(stmts), parallel_paths=self.config.parallel_paths
         )
         with interning(table):
             self._intern_table = table
             with span, Stopwatch() as sw:
                 finished: List[SymState] = []
-                if (
-                    self.config.strategy == "frontier"
-                    and self.config.parallel_paths > 1
-                ):
+                if self.config.parallel_paths > 1:
                     self._explore_frontier(
                         block, initial, cfg, stmts, watched, finished, worker_solver
                     )
                 else:
-                    stack = make_strategy(
-                        self.config.strategy, self.config.strategy_seed
-                    )
-                    stack.push(initial)
-                    self._drive(stack, cfg, stmts, watched, finished)
+                    self._drive([initial], cfg, stmts, watched, finished)
                 results = self._finalize(finished)
                 span.set(
                     paths_done=self.stats.paths_done,
@@ -333,10 +318,7 @@ class SymbolicEngine:
         finished: List[SymState] = []
         with interning(table):
             self._intern_table = table
-            stack = make_strategy("dfs", self.config.strategy_seed)
-            for seed in seeds:
-                stack.push(seed)
-            self._drive(stack, cfg, stmts, watched, finished)
+            self._drive(seeds, cfg, stmts, watched, finished)
             self._intern_table = None
         self.stats.solver_checks = self.solver.checks
         self.stats.solver_cache_hits = self.solver.cache_hits
@@ -352,24 +334,25 @@ class SymbolicEngine:
 
     def _drive(
         self,
-        stack: Strategy,
+        seeds: Sequence[SymState],
         cfg: CFG,
         stmts: Dict[int, Stmt],
         watched: Set[str],
         finished: List[SymState],
         stop_at: Optional[int] = None,
-        frames: Optional[bool] = None,
-    ) -> None:
-        """Pop-and-run until the stack drains (or ``stop_at`` pending
-        states accumulate — the frontier hand-off point)."""
-        # Subsumption recording assumes LIFO scheduling (a frame closes
-        # when the stack height returns to its open depth); bfs/random
-        # interleave subtrees, so recording is disabled there.  Callers
-        # driving a non-LIFO stack (the frontier's phase A) pass
-        # ``frames=False`` explicitly.
-        if frames is None:
-            frames = self.config.strategy in ("dfs", "frontier")
-        frames_on = self.config.subsumption and frames
+    ) -> Deque[SymState]:
+        """Pop-and-run from ``seeds`` until no state is pending; returns
+        the states still pending after a budget stop or a hand-off.
+
+        Pops are LIFO (depth-first).  With ``stop_at`` — the frontier's
+        phase A — pops are FIFO instead and the loop hands off once
+        ``stop_at`` states are pending.  Subsumption recording assumes
+        LIFO (a frame closes when the stack height returns to its open
+        depth), so it is off in that mode.
+        """
+        stack: Deque[SymState] = deque(seeds)
+        pop = stack.pop if stop_at is None else stack.popleft
+        frames_on = self.config.subsumption and stop_at is None
         self._frames = {}
         self._open_frames = []
         while stack:
@@ -382,7 +365,7 @@ class SymbolicEngine:
                 frame = self._open_frames.pop()
                 if not frame.poisoned:
                     self._frames.setdefault(frame.sig, frame)
-            state = stack.pop()
+            state = pop()
             obs_metrics.counter("se.states_popped").inc()
             if frames_on:
                 sig = state_signature(state)
@@ -410,6 +393,7 @@ class SymbolicEngine:
         # Frames still open here (budget break, hand-off, or simply the
         # last subtree) are never needed again: drop them.
         self._open_frames = []
+        return stack
 
     def _finish_state(
         self, state: SymState, finished: List[SymState], from_graft: bool
@@ -535,10 +519,10 @@ class SymbolicEngine:
 
         The key is the branch-decision sequence (True sorts before
         False): depth-first finish order already coincides with it, so
-        the sort is the identity for dfs, while bfs/random/frontier
-        converge to the same byte stream.  Numbering covers *every*
-        finished state (pruned/truncated included) to preserve the
-        historical path-id sequence.
+        the sort is the identity for a sequential run, while the
+        frontier merge converges to the same byte stream.  Numbering
+        covers *every* finished state (pruned/truncated included) to
+        preserve the historical path-id sequence.
         """
 
         def key(state: SymState) -> Tuple[Tuple[int, int], ...]:
@@ -619,12 +603,9 @@ class SymbolicEngine:
         from repro.parallel import explore_frontier_parts
 
         jobs = self.config.parallel_paths
-        stack = make_strategy("bfs", self.config.strategy_seed)
-        stack.push(initial)
-        self._drive(
-            stack, cfg, stmts, watched, finished, stop_at=jobs * 4, frames=False
+        pending = list(
+            self._drive([initial], cfg, stmts, watched, finished, stop_at=jobs * 4)
         )
-        pending = stack.drain()
         if not pending:
             return
         if self.stats.exhausted:
@@ -659,7 +640,7 @@ class SymbolicEngine:
         cfg: CFG,
         stmts: Dict[int, Stmt],
         watched: Set[str],
-        stack: "Strategy",
+        stack: Deque[SymState],
     ) -> Optional[SymState]:
         """Advance ``state`` until it finishes or forks.
 
@@ -724,7 +705,7 @@ class SymbolicEngine:
         state: SymState,
         stmt: Stmt,
         cfg: CFG,
-        stack: "Strategy",
+        stack: Deque[SymState],
     ) -> Optional[int]:
         """Handle a branch node; returns the pc to follow, or None."""
         assert isinstance(stmt, (SIf, SWhile))
@@ -849,7 +830,7 @@ class SymbolicEngine:
             target_false = self._branch_target(cfg, stmt.sid, False)
             if target_false is not None:
                 other.pc = target_false
-                stack.push(other)
+                stack.append(other)
             outcome = True
         else:
             outcome = feasible[0]

@@ -220,7 +220,7 @@ class WatchDaemon:
         """Push ``keys`` into one server, then flip it via reload."""
         from repro.serve.client import ServeClient, ServeError
 
-        shard = f"{host}:{port}"
+        server = f"{host}:{port}"
         store = artifact_cache.get_store()
         client = ServeClient(host, port)
         pushed = 0
@@ -235,12 +235,12 @@ class WatchDaemon:
             response = client.reload(target.name, source, target.entry)
         except ServeError as exc:
             obs_metrics.counter("watch.push_errors").inc()
-            return {"shard": shard, "error": str(exc), "pushed": pushed}
+            return {"server": server, "error": str(exc), "pushed": pushed}
         finally:
             client.close()
         result = response.result or {}
         out = {
-            "shard": shard,
+            "server": server,
             "status": response.status,
             "version": result.get("version"),
             "updated": result.get("updated"),

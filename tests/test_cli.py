@@ -67,6 +67,23 @@ class TestCommands:
         assert code == 0
         assert "pkt.dport" in out
 
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_parallel_paths_below_one_is_rejected(self, capsys, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthesize", "monitor", "--parallel-paths", bad])
+        assert excinfo.value.code == 2
+        assert "argument --parallel-paths: parallel_paths must be >= 1" in (
+            capsys.readouterr().err
+        )
+
+    def test_parallel_paths_same_model(self, capsys):
+        _, sequential = run_cli(capsys, "--no-cache", "synthesize", "nat", "--json")
+        code, parallel = run_cli(
+            capsys, "--no-cache", "synthesize", "nat", "--json", "--parallel-paths", "2"
+        )
+        assert code == 0
+        assert parallel == sequential
+
     def test_slice(self, capsys):
         code, out = run_cli(capsys, "slice", "loadbalancer")
         assert code == 0

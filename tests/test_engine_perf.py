@@ -2,10 +2,10 @@
 
 The three cold-path layers — path subsumption, expression interning,
 and frontier-parallel exploration — all claim to be behaviour-
-preserving *by construction*: toggling any of them, or changing the
-exploration strategy, must produce byte-identical serialized models.
-These tests pin that claim corpus-wide, plus the strategy/config
-validation and the explored/pruned/truncated accounting identity.
+preserving *by construction*: toggling any of them must produce
+byte-identical serialized models.  These tests pin that claim
+corpus-wide, plus the config validation and the
+explored/pruned/truncated accounting identity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.obs import metrics as obs_metrics
 from repro.pdg.flatten import flatten_program
 from repro.symbolic.engine import EngineConfig, ExploreStats, SymbolicEngine
 from repro.symbolic.expr import SymPacket
-from repro.symbolic.strategies import VALID_STRATEGIES, make_strategy
 
 
 def _model_bytes(name: str, **engine_kwargs) -> str:
@@ -33,45 +32,18 @@ def _model_bytes(name: str, **engine_kwargs) -> str:
 
 
 class TestConfigValidation:
-    def test_bad_strategy_rejected_at_construction(self):
-        with pytest.raises(ValueError) as err:
-            EngineConfig(strategy="dijkstra")
-        # The message teaches the fix: it names every valid strategy.
-        for valid in VALID_STRATEGIES:
-            assert valid in str(err.value)
-
-    def test_make_strategy_names_valid_strategies(self):
-        with pytest.raises(ValueError) as err:
-            make_strategy("a-star")
-        for valid in VALID_STRATEGIES:
-            assert valid in str(err.value)
-
-    def test_frontier_maps_to_lifo(self):
-        from repro.symbolic.strategies import DepthFirst
-
-        assert isinstance(make_strategy("frontier"), DepthFirst)
-
     def test_parallel_paths_must_be_positive(self):
         with pytest.raises(ValueError):
             EngineConfig(parallel_paths=0)
 
 
 class TestCrossStrategyByteIdentity:
-    """Every corpus NF: one model, whatever the exploration order."""
+    """Every corpus NF: sequential DFS and the parallel frontier
+    (breadth-first phase A, then DFS workers) give one model."""
 
     @pytest.mark.parametrize("name", nf_names())
     def test_all_strategies_agree(self, name):
-        reference = _model_bytes(name, strategy="dfs")
-        assert _model_bytes(name, strategy="bfs") == reference
-        for seed in (0, 1, 2):
-            assert (
-                _model_bytes(name, strategy="random", strategy_seed=seed)
-                == reference
-            )
-        assert (
-            _model_bytes(name, strategy="frontier", parallel_paths=2)
-            == reference
-        )
+        assert _model_bytes(name, parallel_paths=2) == _model_bytes(name)
 
 
 class TestToggleByteIdentity:

@@ -211,135 +211,45 @@ class TestFSM:
         assert back  # RST / final-ACK deletes the connection
 
 
-class TestMatchIndex:
-    """The exact-match entry index (simulator fast path).
+class TestPriorityScan:
+    """``ModelSimulator.match_entry``: the first entry, in priority
+    order, whose guard holds."""
 
-    Contract: byte-identical to the linear scan (``use_index=False``),
-    including first-match priority among entries that tie on the
-    indexed field — the index only skips entries whose pinning
-    conjunct is provably false for the packet.
-    """
-
-    def _mk_sim(self, entries, state=None, **kwargs):
+    def _mk_sim(self, entries, state=None):
         from repro.model.simulator import ModelSimulator
 
         model = NFModel(name="t")
         for entry in entries:
             model.add_entry(entry)
-        return ModelSimulator(model, state if state is not None else {}, **kwargs)
+        return ModelSimulator(model, state if state is not None else {})
 
-    def test_index_picks_best_covered_field(self):
-        entries = [
-            make_entry(1, flow=[mk_app("==", PKT_DPORT, 80)]),
-            make_entry(2, flow=[mk_app("==", PKT_DPORT, 443)]),
-            make_entry(3, flow=[mk_app("==", SVar("pkt.proto", 0, 255), 6)]),
-        ]
-        sim = self._mk_sim(entries)
-        assert sim.index_field == "dport"
-
-    def test_constant_order_and_cfg_resolution(self):
-        # ``const == pkt.f`` and ``pkt.f == cfg.x`` both pin the field.
-        entries = [
-            make_entry(1, flow=[mk_app("==", 80, PKT_DPORT)]),
-            make_entry(2, flow=[mk_app("==", PKT_DPORT, SVar("cfg.svc", 0, 65535))]),
-        ]
-        sim = self._mk_sim(entries, state={"svc": 443})
-        assert sim.index_field == "dport"
-        assert sorted(sim._index) == [80, 443]
-
-    def test_unresolvable_cfg_stays_residual(self):
-        entries = [
-            make_entry(1, flow=[mk_app("==", PKT_DPORT, SVar("cfg.gone", 0, 1))]),
-            make_entry(2, flow=[mk_app("==", PKT_DPORT, 80)]),
-        ]
-        sim = self._mk_sim(entries, state={})
-        # Only one entry pins a concrete value -> no index at all.
-        assert sim.index_field is None
-
-    def test_priority_tie_break_matches_scan(self):
-        # Entry 1 (residual: no dport conjunct) must still beat entry 2
-        # (indexed) when both guards hold, because it comes first.
-        # Not an equality -> never pinned, so dport carries the index.
+    def test_first_match_in_priority_order(self):
+        # Entries 1 and 2 both match; entry 1 wins because it comes
+        # first, whether or not it pins the field the other one pins.
         always = mk_app("<", SVar("pkt.proto", 0, 255), 255)
+        pkt = Packet(proto=6, dport=80)
         entries = [
             make_entry(1, flow=[always]),
             make_entry(2, flow=[always, mk_app("==", PKT_DPORT, 80)]),
             make_entry(3, flow=[always, mk_app("==", PKT_DPORT, 443)]),
         ]
-        pkt = Packet(proto=6, dport=80)
-        indexed = self._mk_sim(entries)
-        scan = self._mk_sim(entries, use_index=False)
-        assert indexed.index_field == "dport"
-        assert indexed.match_entry(pkt).entry_id == 1
-        assert scan.match_entry(pkt).entry_id == 1
-        # And the symmetric case: indexed entry first.
+        assert self._mk_sim(entries).match_entry(pkt).entry_id == 1
         flipped = [
             make_entry(1, flow=[always, mk_app("==", PKT_DPORT, 80)]),
             make_entry(2, flow=[always]),
             make_entry(3, flow=[always, mk_app("==", PKT_DPORT, 80)]),
         ]
-        for kwargs in ({}, {"use_index": False}):
-            assert self._mk_sim(flipped, **kwargs).match_entry(pkt).entry_id == 1
+        assert self._mk_sim(flipped).match_entry(pkt).entry_id == 1
 
-    def test_miss_bucket_scans_only_residual(self):
+    def test_scan_stops_at_first_match(self):
+        # ``const == pkt.f`` and ``pkt.f == cfg.x`` both match.
         entries = [
-            make_entry(1, flow=[mk_app("==", PKT_DPORT, 80)]),
-            make_entry(2, flow=[mk_app("==", PKT_DPORT, 443)]),
+            make_entry(1, flow=[mk_app("==", 80, PKT_DPORT)]),
+            make_entry(2, flow=[mk_app("==", PKT_DPORT, SVar("cfg.svc", 0, 65535))]),
             make_entry(3, flow=[mk_app("==", SVar("pkt.proto", 0, 255), 17)]),
         ]
-        sim = self._mk_sim(entries)
-        entry = sim.match_entry(Packet(proto=17, dport=9999))
-        assert entry.entry_id == 3
-        assert sim.stats.guard_evals == 1  # residual only, no bucket
-
-    def test_byte_identical_to_scan_on_corpus(self, firewall_result, lb_result):
-        import copy
-        import random
-
-        rng = random.Random(42)
-        from repro.model.simulator import ModelSimulator
-
-        for result in (firewall_result, lb_result):
-            indexed = ModelSimulator(
-                result.model, copy.deepcopy(result.module_env), result.pkt_param
-            )
-            scan = ModelSimulator(
-                result.model,
-                copy.deepcopy(result.module_env),
-                result.pkt_param,
-                use_index=False,
-            )
-            for _ in range(120):
-                pkt = Packet(
-                    ip_src=rng.randrange(2**32),
-                    ip_dst=rng.randrange(2**32),
-                    proto=rng.choice([6, 6, 17, 1]),
-                    sport=rng.choice([80, 443, 1234, 22]),
-                    dport=rng.choice([80, 443, 1234, 22]),
-                    tcp_flags=rng.choice([0x02, 0x10, 0x12, 0x01]),
-                )
-                assert indexed.process(pkt.copy()) == scan.process(pkt.copy())
-            assert indexed.state == scan.state
-            # The index must not do *more* work than the scan.
-            assert indexed.stats.guard_evals <= scan.stats.guard_evals
-
-    def test_guard_evals_reduced_where_indexable(self, lb_result):
-        import copy
-
-        from repro.model.simulator import ModelSimulator
-
-        indexed = ModelSimulator(
-            lb_result.model, copy.deepcopy(lb_result.module_env), lb_result.pkt_param
-        )
-        scan = ModelSimulator(
-            lb_result.model,
-            copy.deepcopy(lb_result.module_env),
-            lb_result.pkt_param,
-            use_index=False,
-        )
-        assert indexed.index_field is not None
-        for _ in range(50):
-            pkt = Packet(ip_src=1, ip_dst=2, dport=9999, tcp_flags=0x02)
-            indexed.process(pkt.copy())
-            scan.process(pkt.copy())
-        assert indexed.stats.guard_evals < scan.stats.guard_evals
+        sim = self._mk_sim(entries, state={"svc": 443})
+        assert sim.match_entry(Packet(proto=17, dport=443)).entry_id == 2
+        assert sim.stats.guard_evals == 2
+        assert sim.match_entry(Packet(proto=6, dport=9999)) is None
+        assert sim.stats.guard_evals == 5

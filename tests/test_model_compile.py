@@ -7,7 +7,7 @@ everything except ``guard_evals`` (which the compiler exists to
 reduce).  The main test here is a seeded-random fuzz driving ≥10k
 packets per NF through both simulators across the full corpus; the
 rest pins the error-path semantics (missing dict keys → no match,
-raw-error propagation) and the dispatch/index construction details.
+raw-error propagation) and the dispatch-tree construction details.
 """
 
 from __future__ import annotations
@@ -134,18 +134,12 @@ class TestCorpusDifferentialFuzz:
 
     @pytest.mark.parametrize("name", nf_names())
     def test_index_and_dispatch_switches(self, name):
-        """use_index / dispatch on-off: all four lowerings agree."""
+        """Scan, compiled flat and compiled dispatch tree agree."""
         result = synthesize_cached(name)
         packets = _workload(name, 1000, seed=99)
 
         sims = {
             "scan": ModelSimulator(
-                result.model,
-                copy.deepcopy(result.module_env),
-                pkt_param=result.pkt_param,
-                use_index=False,
-            ),
-            "indexed": ModelSimulator(
                 result.model,
                 copy.deepcopy(result.module_env),
                 pkt_param=result.pkt_param,
@@ -337,8 +331,6 @@ class TestDispatchTree:
             make_entry(2, flow=[mk_app("==", PKT_DPORT, 443),
                                 mk_app("==", PKT_SPORT, 2)]),
         ]
-        sim = ModelSimulator(make_model(*entries), {})
-        assert sim.index_field == "dport"
         cm = compile_model(make_model(*entries), {})
         assert cm._root.field == "dport"
 
@@ -390,26 +382,6 @@ class TestDispatchTree:
             assert a is b, (pkt, a, b)
         # The catch-all wins only when nothing more specific matches.
         assert comp.match_entry(Packet(proto=1)) is entries[3]
-
-
-class TestPremergedIndex:
-    def test_candidates_is_single_dict_get(self):
-        entries = [
-            make_entry(1, flow=[mk_app("==", PKT_DPORT, 80)]),
-            make_entry(2, flow=[]),
-            make_entry(3, flow=[mk_app("==", PKT_DPORT, 443)]),
-        ]
-        sim = ModelSimulator(make_model(*entries), {})
-        assert sim.index_field == "dport"
-        # Bucket hit: the premerged list object itself, no per-packet merge.
-        got = sim._candidates(Packet(dport=80))
-        assert got is sim._merged[80]
-        assert [e.entry_id for e in got] == [1, 2]
-        assert [e.entry_id for e in sim._candidates(Packet(dport=443))] == [2, 3]
-        # Bucket miss: the shared residual list.
-        miss = sim._candidates(Packet(dport=9))
-        assert miss is sim._residual_entries
-        assert [e.entry_id for e in miss] == [2]
 
 
 class TestServeSimulate:

@@ -19,8 +19,10 @@ by pool workers).
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import os
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -189,7 +191,7 @@ class TestTimeoutClamp:
 
     def test_bad_timeouts_rejected(self):
         server = Server(ServeConfig())
-        for bad in (0, -1, "nope", None):
+        for bad in (0, -1, "nope", None, float("nan"), "nan", float("inf")):
             with pytest.raises(protocol.ProtocolError):
                 server._timeout_for({"timeout_s": bad})
 
@@ -488,6 +490,78 @@ class TestClientKeepAlive:
             for t in threads:
                 t.join()
             assert not errors
+
+
+# -- malformed input over a real socket --------------------------------------
+
+
+def _raw_exchange(port, payload):
+    """Send raw bytes on a fresh connection; (status, envelope) back."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    assert data, "connection dropped without a response"
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _post(path, body):
+    return (
+        f"POST {path} HTTP/1.1\r\nConnection: close\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+class TestMalformedInput:
+    """Each input once dropped the connection; each must get a 400
+    ``bad_request`` envelope, and the server must keep serving."""
+
+    def _assert_bad_request(self, handle, client, payload, message):
+        status, envelope = _raw_exchange(handle.port, payload)
+        assert status == 400, envelope
+        assert envelope["error"]["code"] == "bad_request"
+        assert message in envelope["error"]["message"]
+        assert client.healthz().status == 200
+
+    def test_non_finite_timeout(self, monkeypatch):
+        with serve(monkeypatch) as (handle, client):
+            for raw in (b"NaN", b'"nan"'):
+                body = b'{"seconds": 0.01, "timeout_s": ' + raw + b"}"
+                self._assert_bad_request(
+                    handle, client, _post("/v1/sleep", body), "bad timeout_s"
+                )
+            health = client.healthz().result
+            assert health["inflight"] == 0 and health["queue_depth"] == 0
+
+    def test_deeply_nested_json(self, monkeypatch):
+        with serve(monkeypatch, test_ops=False) as (handle, client):
+            body = b"[" * 100_000
+            self._assert_bad_request(
+                handle, client, _post("/v1/synthesize", body), "nested too deeply"
+            )
+
+    def test_lines_beyond_the_stream_limit(self, monkeypatch):
+        # Past asyncio's 64 KiB StreamReader limit, readline raises
+        # before MAX_LINE_BYTES is ever checked.  At 1 MiB most of the
+        # line is still unread when the 400 goes out.
+        with serve(monkeypatch, test_ops=False) as (handle, client):
+            for size in (70 << 10, 1 << 20):
+                long = b"a" * size
+                self._assert_bad_request(
+                    handle, client,
+                    b"GET /healthz?" + long + b" HTTP/1.1\r\n\r\n",
+                    "request line too long",
+                )
+                self._assert_bad_request(
+                    handle, client,
+                    b"GET /healthz HTTP/1.1\r\nX-Long: " + long + b"\r\n\r\n",
+                    "header line too long",
+                )
 
 
 # -- worker deadline plumbing -------------------------------------------------

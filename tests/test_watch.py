@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro import cache as artifact_cache
+from repro.cli import _watch_line
 from repro.model.diff import model_changelog
 from repro.nfactor.algorithm import NFactorConfig, synthesize_model_cached
 from repro.watch import SourceWatcher, WatchDaemon, WatchOptions, parse_target
@@ -419,8 +420,8 @@ class TestHotSwap:
         assert any(2 in [v for _, v, _ in bucket] for bucket in streams)
 
     def test_watch_daemon_pushes_and_swaps_shard(self, serve_handle, tmp_path):
-        """The cluster-aware push path: artifacts peer-fill the shard's
-        CAS before the reload flips it."""
+        """The push path: artifacts land in the server's CAS before the
+        reload flips it; each push result names its server."""
         from repro.serve.client import ServeClient
 
         path = tmp_path / "pushnf.py"
@@ -435,6 +436,9 @@ class TestHotSwap:
                 emit=events.append,
             )
             (base,) = daemon.baseline()
+            server = f"127.0.0.1:{serve_handle.port}"
+            assert base["serve"][0]["server"] == server
+            assert f"{server} v1" in _watch_line(base)  # the CLI printer
             assert base["serve"][0]["status"] == 200
             assert base["serve"][0]["version"] == 1
             assert base["serve"][0]["pushed"] >= 4  # frontend/prep/slices/model/sim
