@@ -4,6 +4,9 @@ A *definition* is a pair ``(var, sid)``.  Element stores (``d[k] = v``)
 are weak updates: they generate a definition of ``d`` but do **not**
 kill earlier definitions, because only part of the value changed.
 Whole-variable stores kill every earlier definition of the variable.
+A weak update through a name also weakly defines every name that may
+alias it (:func:`may_aliases`): after ``q = pkt``, ``q.dport = 7``
+changes what ``pkt`` holds.
 
 A synthetic definition site :data:`INITIAL` represents values flowing in
 from outside the analysed block: function parameters, module globals and
@@ -13,11 +16,16 @@ anything else live-on-entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.cfg.graph import CFG, ENTRY, EXIT
 from repro.dataflow.framework import DataflowProblem, solve
 from repro.lang.ir import (
+    ECond,
+    EList,
+    EName,
+    ETuple,
+    Expr,
     LName,
     LTuple,
     LValue,
@@ -55,6 +63,53 @@ def _strong_defs(stmt: Stmt) -> Set[str]:
     return out
 
 
+def may_aliases(stmts: Iterable[Stmt]) -> Dict[str, FrozenSet[str]]:
+    """Flow-insensitive may-alias classes of names.
+
+    A name-to-name copy ``a = b`` may leave both names bound to one
+    object; the flattener binds inlined parameters and return values
+    with exactly such copies.  Classes are the union of every copy in
+    ``stmts``, in any order.  Maps each name of a class with two or
+    more members to the whole class.
+    """
+    parent: Dict[str, str] = {}
+
+    def find(name: str) -> str:
+        root = parent.setdefault(name, name)
+        while root != parent[root]:
+            root = parent[root]
+        parent[name] = root
+        return root
+
+    def bind(target: LValue, value: Expr) -> None:
+        if isinstance(value, ECond):
+            bind(target, value.body)
+            bind(target, value.orelse)
+        elif isinstance(target, LName) and isinstance(value, EName):
+            parent[find(target.id)] = find(value.id)
+        elif (
+            isinstance(target, LTuple)
+            and isinstance(value, (ETuple, EList))
+            and len(target.elts) == len(value.elts)
+        ):
+            for sub, item in zip(target.elts, value.elts):
+                bind(sub, item)
+
+    for stmt in stmts:
+        if isinstance(stmt, SAssign) and stmt.aug is None:
+            for target in stmt.targets:
+                bind(target, stmt.value)
+    classes: Dict[str, Set[str]] = {}
+    for name in parent:
+        classes.setdefault(find(name), set()).add(name)
+    return {
+        name: frozenset(members)
+        for members in classes.values()
+        if len(members) > 1
+        for name in members
+    }
+
+
 class ReachingDefinitions(DataflowProblem[Facts]):
     """The reaching-definitions problem for one CFG."""
 
@@ -63,6 +118,7 @@ class ReachingDefinitions(DataflowProblem[Facts]):
     def __init__(self, stmts: Dict[int, Stmt], entry_vars: Set[str]) -> None:
         self._stmts = stmts
         self._entry_vars = entry_vars
+        self._aliases = may_aliases(stmts.values())
 
     def bottom(self) -> Facts:
         return frozenset()
@@ -81,6 +137,8 @@ class ReachingDefinitions(DataflowProblem[Facts]):
         if not defs:
             return fact
         strong = _strong_defs(stmt)
+        for name in defs - strong:
+            defs = defs | self._aliases.get(name, frozenset())
         surviving = frozenset(d for d in fact if d[0] not in strong)
         generated = frozenset((v, node) for v in defs)
         return surviving | generated

@@ -107,7 +107,6 @@ class SynthesisStats:
     # Engine cold-path counters (docs/internals.md §9); frontier runs
     # fold the worker processes' counts in.
     states_explored: int = 0
-    pruned_subsumed: int = 0
     witness_hits: int = 0
     intern_hits: int = 0
     intern_misses: int = 0
@@ -217,7 +216,6 @@ _PERF_ONLY_ENGINE_FIELDS = frozenset(
         "solver_cache",
         "intern_exprs",
         "witness_shortcut",
-        "subsumption",
         "parallel_paths",
     }
 )
@@ -545,7 +543,6 @@ class NFactor:
             stats.solver_cache_hits = engine.stats.solver_cache_hits
             stats.solver_cache_misses = engine.stats.solver_cache_misses
             stats.states_explored = engine.stats.states_explored
-            stats.pruned_subsumed = engine.stats.pruned_subsumed
             stats.witness_hits = engine.stats.witness_hits
             stats.intern_hits = engine.stats.intern_hits
             stats.intern_misses = engine.stats.intern_misses

@@ -36,6 +36,7 @@ import os
 import signal
 import threading
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -70,6 +71,10 @@ def _pool_ready() -> None:
 #: How long a connection answered with a protocol error keeps reading
 #: (and discarding) the rest of the client's request.
 LINGER_S = 2.0
+
+#: Slack past a job's deadline and twice the grace period before a
+#: request gives up on its dispatcher and answers 504 itself.
+BACKSTOP_SLACK_S = 5.0
 
 
 async def _discard_unread(reader, writer) -> None:
@@ -370,8 +375,21 @@ class Server:
                     break
                 if request is None:
                     break
-                status, envelope, headers = await self._route(request)
-                keep_alive = request.keep_alive and not self.draining
+                try:
+                    status, envelope, headers = await self._route(request)
+                    keep_alive = request.keep_alive and not self.draining
+                except Exception as exc:
+                    # A handler bug: answer with an envelope, not a
+                    # dropped connection, and do not reuse the socket.
+                    obs_log.log_event(
+                        self._log, logging.ERROR, "serve.internal_error",
+                        f"{request.method} {request.path} failed: {exc!r}",
+                        path=request.path, error=repr(exc),
+                        traceback=traceback.format_exc(),
+                    )
+                    status, headers = 500, None
+                    envelope = protocol.error_envelope(500, "internal server error")
+                    keep_alive = False
                 if isinstance(envelope, _RawText):
                     payload = protocol.render_response(
                         status,
@@ -669,9 +687,16 @@ class Server:
         # The dispatcher always resolves the future (worker alarm, then
         # parent backstop); the extra slack here only guards against a
         # dispatcher bug turning into a hung connection.
-        outcome = await asyncio.wait_for(
-            job.future, timeout_s + 2 * self.config.grace_s + 5.0
-        )
+        try:
+            outcome = await asyncio.wait_for(
+                job.future, timeout_s + 2 * self.config.grace_s + BACKSTOP_SLACK_S
+            )
+        except asyncio.TimeoutError:
+            outcome = {
+                "status": 504,
+                "error": "deadline exceeded (no answer from the dispatcher)",
+                "where": "server",
+            }
         elapsed_s = time.monotonic() - job.arrival
         elapsed_ms = elapsed_s * 1000.0
         self.registry.histogram("serve.request_seconds").observe(elapsed_s)

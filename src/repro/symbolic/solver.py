@@ -537,19 +537,8 @@ class Solver:
         result = self.check(constraints)
         return result.assignment if result.status == "sat" else None
 
-    def absorb_into(self, ctx: SolverContext, constraints: Sequence[Any]) -> None:
-        """Fold ``constraints`` into ``ctx`` in order (stops on conflict).
-
-        Lets a caller build a reusable propagated base for a shared
-        constraint prefix — the engine's subsumption validator absorbs
-        a state's path condition once and re-checks many recorded
-        branch arms against copies (:meth:`check_assuming`).
-        """
-        for c in constraints:
-            if ctx.conflict:
-                return
-            self._absorb(ctx, c)
-
+    # No caller since path subsumption went; kept until a benchmark change
+    # stops wrapping it by name.
     def check_assuming(self, ctx: SolverContext, extra: Any) -> SolverResult:
         """Decide ``ctx``'s absorbed conjunction extended by ``extra``.
 
@@ -992,36 +981,6 @@ def _expand_conjunction(c: Any, out: List[Any]) -> None:
                 _expand_conjunction(mk_app("not", a), out)
             return
     out.append(c)
-
-
-def _complement_present(c: Any, canon_set: Set[str]) -> bool:
-    """Syntactic UNSAT: the set also asserts the negation of ``c``.
-
-    Handles three shapes: a directly negated twin; ``not (A and B)``
-    while every conjunct is separately asserted; ``A or B`` while every
-    disjunct's negation is separately asserted.  (Kept as the reference
-    form of the incremental detection in ``Solver._absorb_piece``.)
-    """
-    negated = mk_app("not", c)
-    if not isinstance(negated, bool) and canon(negated) in canon_set:
-        return True
-    if isinstance(c, SApp) and c.op == "not":
-        inner = c.args[0]
-        if isinstance(inner, SApp) and inner.op == "and":
-            if all(
-                (canon(a) in canon_set)
-                for a in inner.args
-                if not isinstance(a, bool)
-            ):
-                return True
-    if isinstance(c, SApp) and c.op == "or":
-        negs = [mk_app("not", a) for a in c.args]
-        if all(
-            (isinstance(n, bool) and not n) or (canon(n) in canon_set)
-            for n in negs
-        ):
-            return True
-    return False
 
 
 def _is_leaf(value: Any) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.cfg.builder import build_cfg
 from repro.dataflow.defuse import def_use_chains
 from repro.dataflow.liveness import live_variables
-from repro.dataflow.reaching import INITIAL, reaching_definitions
+from repro.dataflow.reaching import INITIAL, may_aliases, reaching_definitions
 from repro.lang.parser import parse_function
 
 
@@ -63,6 +63,34 @@ class TestReachingDefinitions:
         assert ("x", loop_def.sid) in in_facts[ret.sid]
         # The loop body read sees its own definition from prior iterations.
         assert ("x", loop_def.sid) in in_facts[loop_def.sid]
+
+
+class TestMayAliases:
+    def test_classes_close_over_copies(self):
+        fn, _, stmts = analyzed(
+            "def f(p, d):\n    q = p\n    r, s = q, d\n    t = d if p else q\n    x = 1\n"
+        )
+        aliases = may_aliases(stmts.values())
+        assert aliases["p"] == {"p", "q", "r", "t", "s", "d"}
+        assert "x" not in aliases
+
+    def test_store_through_copy_defines_original(self):
+        fn, cfg, stmts = analyzed(
+            "def f(p):\n    q = p\n    q.dport = 7\n    send_packet(p)\n"
+        )
+        _, store, send = fn.body
+        in_facts, _ = reaching_definitions(cfg, stmts, {"p"})
+        assert ("p", store.sid) in in_facts[send.sid]
+        # Weak: the incoming definition survives the store.
+        assert ("p", INITIAL) in in_facts[send.sid]
+
+    def test_rebinding_a_copy_does_not_define_the_original(self):
+        fn, cfg, stmts = analyzed(
+            "def f(p):\n    q = p\n    q = 5\n    send_packet(p)\n"
+        )
+        _, rebind, send = fn.body
+        in_facts, _ = reaching_definitions(cfg, stmts, {"p"})
+        assert ("p", rebind.sid) not in in_facts[send.sid]
 
 
 class TestLiveness:

@@ -1,11 +1,11 @@
 """Guards for the engine cold-path stack (docs/internals.md §9).
 
-The three cold-path layers — path subsumption, expression interning,
-and frontier-parallel exploration — all claim to be behaviour-
-preserving *by construction*: toggling any of them must produce
-byte-identical serialized models.  These tests pin that claim
-corpus-wide, plus the config validation and the
-explored/pruned/truncated accounting identity.
+The cold-path layers — the witness shortcut, expression interning and
+frontier-parallel exploration — all claim to be behaviour-preserving
+*by construction*: toggling any of them must produce byte-identical
+serialized models.  These tests pin that claim corpus-wide, plus the
+config validation, the explored/truncated accounting identity and the
+copy semantics of ``SymState.fork``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from repro.nfs import get_nf, nf_names
 from repro.obs import metrics as obs_metrics
 from repro.pdg.flatten import flatten_program
 from repro.symbolic.engine import EngineConfig, ExploreStats, SymbolicEngine
-from repro.symbolic.expr import SymPacket
+from repro.symbolic.expr import SVar, SymDict, SymPacket
+from repro.symbolic.state import SymState
 
 
 def _model_bytes(name: str, **engine_kwargs) -> str:
@@ -52,23 +53,16 @@ class TestToggleByteIdentity:
     @pytest.mark.parametrize("name", ["firewall", "nat", "proxycache"])
     def test_layers_are_behaviour_preserving(self, name):
         reference = _model_bytes(name)
-        assert _model_bytes(name, subsumption=False) == reference
         assert _model_bytes(name, intern_exprs=False) == reference
         assert _model_bytes(name, witness_shortcut=False) == reference
         assert (
-            _model_bytes(
-                name,
-                subsumption=False,
-                intern_exprs=False,
-                witness_shortcut=False,
-            )
+            _model_bytes(name, intern_exprs=False, witness_shortcut=False)
             == reference
         )
 
 
-# A compact program whose branch structure produces duplicate states:
-# both arms of the first branch leave an identical environment, so the
-# second/third branches are explored once and grafted once.
+# A compact program whose two arms of the first branch leave identical
+# environments: the second and third branches are explored under both.
 DUPLICATING_SOURCE = (
     "def cb(pkt):\n"
     "    if pkt.ttl > 64:\n"
@@ -81,8 +75,8 @@ DUPLICATING_SOURCE = (
 )
 
 
-def _explore(**engine_kwargs):
-    flat = flatten_program(parse_program(DUPLICATING_SOURCE, entry="cb"))
+def _explore(source=DUPLICATING_SOURCE, **engine_kwargs):
+    flat = flatten_program(parse_program(source, entry="cb"))
     engine = SymbolicEngine(EngineConfig(**engine_kwargs))
     registry = obs_metrics.MetricsRegistry()
     previous = obs_metrics.install(registry)
@@ -95,33 +89,89 @@ def _explore(**engine_kwargs):
 
 class TestAccounting:
     def test_states_total_identity(self):
-        for subsumption in (False, True):
-            _, stats, _ = _explore(subsumption=subsumption)
-            assert stats.states_total == (
-                stats.states_explored
-                + stats.pruned_subsumed
-                + stats.paths_truncated
-            )
-
-    def test_subsumption_prunes_duplicate_states(self):
-        _, on, _ = _explore(subsumption=True)
-        _, off, _ = _explore(subsumption=False)
-        assert on.pruned_subsumed > 0
-        assert off.pruned_subsumed == 0
-        assert on.states_explored < off.states_explored
-        # Both runs finish the same path set.
-        assert on.paths_done == off.paths_done
+        _, stats, _ = _explore()
+        assert stats.states_total == stats.states_explored + stats.paths_truncated
+        assert stats.pruned_subsumed == 0
 
     def test_popped_counter_matches_work_done(self):
-        _, off, counters_off = _explore(subsumption=False)
-        assert counters_off["se.states_popped"] == off.states_total
-        _, on, counters_on = _explore(subsumption=True)
-        # A graft emits leaves without popping their states.
-        assert counters_on["se.states_popped"] <= on.states_total
-        assert counters_on["se.pruned_subsumed"] == on.pruned_subsumed
+        _, stats, counters = _explore()
+        assert counters["se.states_popped"] == stats.states_total
+        _, stats, counters = _explore(max_steps_per_path=4)
+        assert stats.paths_truncated > 0
+        assert counters["se.states_popped"] == stats.states_total
 
     def test_states_total_is_derived(self):
-        stats = ExploreStats(
-            states_explored=5, pruned_subsumed=2, paths_truncated=1
+        stats = ExploreStats(states_explored=5, paths_truncated=1)
+        assert stats.states_total == 6
+
+
+# Two names bound to one packet; the store through the copy happens
+# only after the fork, on both arms.
+ALIASING_SOURCE = (
+    "LIMIT = 64\n"
+    "\n"
+    "def cb(pkt):\n"
+    "    q = pkt\n"
+    "    if pkt.ttl > LIMIT:\n"
+    "        q.dport = 7\n"
+    "    else:\n"
+    "        q.dport = 9\n"
+    "    send_packet(pkt)\n"
+)
+
+
+class TestFork:
+    def test_fork_keeps_aliasing(self):
+        paths, _, _ = _explore(ALIASING_SOURCE)
+        sent = {
+            path.branches[-1][1]: path.sent[0][0]["dport"] for path in paths
+        }
+        assert sent == {True: 7, False: 9}
+
+    def test_fork_shares_names_bound_to_one_object(self):
+        pkt, table, ports, rules = SymPacket.fresh(), SymDict("t"), [1, 2], {}
+        state = SymState(
+            pc=0,
+            env={
+                "pkt": pkt, "q": pkt, "t": table, "u": table,
+                "ports": ports, "alias": ports, "rules": rules, "r2": rules,
+            },
         )
-        assert stats.states_total == 8
+        env = state.fork().env
+        for a, b in (("pkt", "q"), ("t", "u"), ("ports", "alias"), ("rules", "r2")):
+            assert env[a] is env[b]
+            assert env[a] is not state.env[a]
+
+    def test_fork_writes_stay_on_their_arm(self):
+        state = SymState(
+            pc=0,
+            env={
+                "pkt": SymPacket.fresh(),
+                "table": SymDict("table"),
+                "ports": [1, 2],
+                "conf": {"mode": 1},
+                "nested": ([3], {"k": [4]}),
+            },
+        )
+        other = state.fork()
+        other.env["pkt"].set("dport", 7)
+        other.env["table"].store(SVar("k"), 1)
+        other.env["table"].assumed["x"] = True
+        other.env["ports"].append(3)
+        other.env["conf"]["mode"] = 2
+        other.env["nested"][0].append(5)
+        other.env["nested"][1]["k"].append(6)
+        assert state.env["pkt"].get("dport") is not other.env["pkt"].get("dport")
+        assert state.env["table"].entries == []
+        assert state.env["table"].assumed == {}
+        assert state.env["ports"] == [1, 2]
+        assert state.env["conf"] == {"mode": 1}
+        assert state.env["nested"] == ([3], {"k": [4]})
+
+    def test_fork_shares_immutable_values(self):
+        rules = ((1, "tcp", (80, 443)), (2, "udp", (53,)))
+        leaf = SVar("pkt.ttl")
+        state = SymState(pc=0, env={"RULES": rules, "x": leaf, "n": 5})
+        env = state.fork().env
+        assert env["RULES"] is rules
+        assert env["x"] is leaf

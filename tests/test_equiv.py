@@ -8,6 +8,7 @@ import pytest
 from repro.equiv.differential import differential_test
 from repro.equiv.paths import compare_path_sets
 from repro.net.generator import WorkloadSpec
+from repro.nfactor.algorithm import NFactor, NFactorConfig
 from repro.nfs import get_nf
 from repro.symbolic.engine import EngineConfig
 
@@ -61,8 +62,6 @@ class TestPathSetEquivalence:
             {"loadbalancer": "lb_result", "nat": "nat_result",
              "monitor": "monitor_result", "firewall": "firewall_result"}[name]
         )
-        from repro.nfactor.algorithm import NFactor
-
         spec = get_nf(name)
         nf = NFactor(spec.source, name=name)
         original_paths, _ = nf.explore_original(EngineConfig(max_paths=16384))
@@ -72,8 +71,6 @@ class TestPathSetEquivalence:
 
     def test_original_finer_than_slice(self, lb_result):
         """Log branches split original paths; the slice merges them."""
-        from repro.nfactor.algorithm import NFactor
-
         spec = get_nf("loadbalancer")
         nf = NFactor(spec.source, name="loadbalancer")
         original_paths, _ = nf.explore_original()
@@ -84,3 +81,53 @@ class TestPathSetEquivalence:
     def test_report_summary_format(self, monitor_result):
         report = compare_path_sets(monitor_result.paths, monitor_result.paths)
         assert "EQUAL" in report.summary()
+
+
+def _aliasing_nf(body: str) -> str:
+    return (
+        "LIMIT = 64\n\n"
+        + body
+        + '\n\ndef main():\n    sniff("eth0", cb)\n\n\n'
+        + 'if __name__ == "__main__":\n    main()\n'
+    )
+
+
+#: Stores made through a second name bound to the packet.  The slice
+#: must keep them although the output call names only ``pkt``.
+ALIASED_STORES = {
+    "callee_write": _aliasing_nf(
+        "def mark(p):\n"
+        "    p.dport = 7\n\n"
+        "def cb(pkt):\n"
+        "    mark(pkt)\n"
+        "    send_packet(pkt)"
+    ),
+    "local_alias_both_arms": _aliasing_nf(
+        "def cb(pkt):\n"
+        "    q = pkt\n"
+        "    if pkt.ttl > LIMIT:\n"
+        "        q.dport = 7\n"
+        "    else:\n"
+        "        q.dport = 9\n"
+        "    send_packet(pkt)"
+    ),
+    "callee_forks_then_writes": _aliasing_nf(
+        "def mark(p):\n"
+        "    if p.ttl > LIMIT:\n"
+        "        p.dport = 7\n"
+        "    else:\n"
+        "        p.dport = 9\n\n"
+        "def cb(pkt):\n"
+        "    mark(pkt)\n"
+        "    send_packet(pkt)"
+    ),
+}
+
+
+class TestAliasedStores:
+    @pytest.mark.parametrize("name", sorted(ALIASED_STORES))
+    def test_model_equals_program(self, name):
+        config = NFactorConfig(artifact_cache=False)
+        result = NFactor(ALIASED_STORES[name], name=name, config=config).synthesize()
+        report = differential_test(result, n_packets=200, seed=7)
+        assert report.identical, report.summary()

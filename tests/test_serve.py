@@ -41,6 +41,7 @@ from repro.serve import (
     ServerHandle,
 )
 from repro.serve import protocol
+from repro.serve import server as server_mod
 from repro.serve.jobs import _LruMemo
 from repro.serve.queue import (
     RETRY_AFTER_MAX_S,
@@ -562,6 +563,42 @@ class TestMalformedInput:
                     b"GET /healthz HTTP/1.1\r\nX-Long: " + long + b"\r\n\r\n",
                     "header line too long",
                 )
+
+
+class TestInternalErrors:
+    """A failure inside the server answers with an envelope, and the
+    server keeps serving."""
+
+    def test_route_exception_is_a_500_envelope(self, monkeypatch):
+        original = Server._route
+
+        async def route(self, request):
+            if request.path == "/boom":
+                raise RuntimeError("handler bug")
+            return await original(self, request)
+
+        monkeypatch.setattr(Server, "_route", route)
+        with serve(monkeypatch, test_ops=False) as (handle, client):
+            status, envelope = _raw_exchange(
+                handle.port, b"GET /boom HTTP/1.1\r\n\r\n"
+            )
+            assert status == 500
+            assert envelope["error"]["code"] == "internal"
+            assert client.healthz().status == 200
+
+    def test_dispatcher_backstop_is_a_504_envelope(self, monkeypatch):
+        async def never_answers(self, job):
+            await asyncio.sleep(2.0)
+            return {"status": 200, "result": None}
+
+        monkeypatch.setattr(Server, "_run_job", never_answers)
+        monkeypatch.setattr(server_mod, "BACKSTOP_SLACK_S", 0.0)
+        with serve(monkeypatch, grace_s=0.1) as (handle, client):
+            body = b'{"seconds": 0.01, "timeout_s": 0.2}'
+            status, envelope = _raw_exchange(handle.port, _post("/v1/sleep", body))
+            assert status == 504
+            assert envelope["error"]["code"] == "deadline_exceeded"
+            assert client.healthz().status == 200
 
 
 # -- worker deadline plumbing -------------------------------------------------
